@@ -1,6 +1,10 @@
-"""Small shared helpers for the toolkit's text file formats."""
+"""How the toolkit opens, checks and replaces its files: writes are atomic,
+and a bad CSV row is reported as ``path: bad <what> row at line N: reason``."""
 
 from __future__ import annotations
+
+import os
+from contextlib import contextmanager
 
 
 def fmt_float(x: float) -> str:
@@ -8,15 +12,64 @@ def fmt_float(x: float) -> str:
     return f"{x:.9g}"
 
 
-def fmt_optional(x) -> str:
-    return "" if x is None else fmt_float(float(x))
-
-
-def parse_optional_float(text: str) -> float | None:
+def parse_optional(text: str, parse=int):
+    """None for a blank cell, else parse(text)."""
     text = text.strip()
-    return None if text == "" else float(text)
+    return None if text == "" else parse(text)
 
 
-def parse_optional_int(text: str) -> int | None:
-    text = text.strip()
-    return None if text == "" else int(text)
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write to a temp file next to path, then os.replace it onto path.
+
+    On failure the temp file is deleted and path keeps its old bytes. An
+    existing non-regular destination (``/dev/null``, a FIFO) is written in place.
+    """
+    target = os.path.realpath(path)
+    kwargs = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, **kwargs) as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path, header: str, lines) -> None:
+    """A header line, then one line per formatted row."""
+    write_text(path, "\n".join([header, *lines]) + "\n")
+
+
+def read_csv(path, header: str, parse_row, what: str) -> list:
+    """parse_row(cells) for every row of a CSV whose first line is header.
+
+    Each row must have as many cells as the header. A ValueError from a row,
+    including one raised by parse_row, is re-raised naming path and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: not a {what} file (bad header)")
+    ncells = header.count(",") + 1
+    rows = []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != ncells:
+                raise ValueError(f"{len(cells)} cells, expected {ncells}")
+            rows.append(parse_row(cells))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad {what} row at line {lineno}: {exc}") from exc
+    return rows

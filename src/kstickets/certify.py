@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._text import fmt_float, parse_optional_float, parse_optional_int
-from .ksstat import ks_critical_value
+from ._text import fmt_float, parse_optional, read_csv, write_csv, write_text
+from .ksstat import ks_tau
 
 __all__ = [
     "PredictionRecord",
@@ -128,7 +128,7 @@ def certification_report(
     recs = list(records) if first_k is None else filter_first_k(records, first_k)
     if not recs:
         raise ValueError("empty record set")
-    tau = 0.0 if alpha == 1.0 else ks_critical_value(alpha, d, d)
+    tau = ks_tau(alpha, d)
     n = len(recs)
     certified = sum(certify_record(r, tau, prob_source) for r in recs) / n
     tuned_acc = sum(r.tuned_prediction == r.reference_token for r in recs) / n
@@ -164,51 +164,29 @@ def alpha_sweep(
 
 
 def write_prediction_log(records: Sequence[PredictionRecord], path) -> None:
-    lines = [LOG_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.example_id),
-                    str(r.position),
-                    str(r.reference_token),
-                    str(r.tuned_prediction),
-                    fmt_float(r.p1),
-                    fmt_float(r.p2),
-                    "" if r.partial_prediction is None else str(r.partial_prediction),
-                    "" if r.base_p1 is None else fmt_float(r.base_p1),
-                    "" if r.base_p2 is None else fmt_float(r.base_p2),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        LOG_HEADER,
+        (
+            f"{r.example_id},{r.position},{r.reference_token},{r.tuned_prediction},"
+            f"{fmt_float(r.p1)},{fmt_float(r.p2)},"
+            f"{'' if r.partial_prediction is None else r.partial_prediction},"
+            f"{'' if r.base_p1 is None else fmt_float(r.base_p1)},"
+            f"{'' if r.base_p2 is None else fmt_float(r.base_p2)}"
+            for r in records
+        ),
+    )
+
+
+def _log_row(c: list[str]) -> PredictionRecord:
+    return PredictionRecord(
+        int(c[0]), int(c[1]), int(c[2]), int(c[3]), float(c[4]), float(c[5]),
+        parse_optional(c[6]), parse_optional(c[7], float), parse_optional(c[8], float),
+    )
 
 
 def read_prediction_log(path) -> list[PredictionRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != LOG_HEADER:
-        raise ValueError(f"{path}: not a prediction log (bad header)")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 9:
-            raise ValueError(f"{path}: bad log row at line {lineno}")
-        records.append(
-            PredictionRecord(
-                example_id=int(cells[0]),
-                position=int(cells[1]),
-                reference_token=int(cells[2]),
-                tuned_prediction=int(cells[3]),
-                p1=float(cells[4]),
-                p2=float(cells[5]),
-                partial_prediction=parse_optional_int(cells[6]),
-                base_p1=parse_optional_float(cells[7]),
-                base_p2=parse_optional_float(cells[8]),
-            )
-        )
-    return records
+    return read_csv(path, LOG_HEADER, _log_row, "log")
 
 
 def render_report(report: CertificationReport) -> str:
@@ -227,5 +205,4 @@ def render_report(report: CertificationReport) -> str:
 
 
 def write_reports(reports: Sequence[CertificationReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(render_report(r) for r in reports))
+    write_text(path, "\n".join(render_report(r) for r in reports))

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._text import atomic_open
+
 __all__ = [
     "CheckpointError",
     "TensorRecord",
@@ -124,10 +126,8 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         offset += t.nbytes
     header = "".join(header_lines).encode("utf-8")
     try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", ckpt.format_version, len(header)))
-            fh.write(header)
+        with atomic_open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", ckpt.format_version, len(header)) + header)
             for t in ckpt.tensors:
                 fh.write(t.data.astype("<f4", copy=False).tobytes())
     except OSError as exc:
@@ -135,7 +135,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def read_checkpoint(path) -> Checkpoint:
-    """Parse and validate a checkpoint file; offsets are bounds-checked."""
+    """Parse and validate a checkpoint file; the payloads must tile it exactly."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -155,6 +155,7 @@ def read_checkpoint(path) -> Checkpoint:
     payload = blob[12 + header_len :]
 
     tensors = []
+    end = 0  # payloads are contiguous in header order and fill the file exactly
     for line in header.splitlines():
         parts = line.split("\t")
         if len(parts) != 4:
@@ -165,16 +166,22 @@ def read_checkpoint(path) -> Checkpoint:
             off, length = int(off_s), int(len_s)
         except ValueError as exc:
             raise CheckpointError(f"{path}: corrupt checkpoint (bad header line)") from exc
-        if off < 0 or length < 0 or off + length > len(payload):
+        if off != end or length < 0 or off + length > len(payload):
             raise CheckpointError(
-                f"{path}: corrupt checkpoint (tensor {name!r} payload out of bounds)"
+                f"{path}: corrupt checkpoint (tensor {name!r} payload at byte {off}, "
+                f"expected {end}, length {length} of {len(payload)})"
             )
+        end = off + length
         if length != 4 * math.prod(shape) or any(d <= 0 for d in shape):
             raise CheckpointError(
                 f"{path}: corrupt checkpoint (tensor {name!r} length/shape mismatch)"
             )
         data = np.frombuffer(payload, dtype="<f4", count=length // 4, offset=off)
         tensors.append(TensorRecord(name, shape, data.astype(np.float32, copy=True)))
+    if end != len(payload):
+        raise CheckpointError(
+            f"{path}: corrupt checkpoint ({len(payload) - end} trailing payload bytes)"
+        )
     return Checkpoint(tensors, format_version=version)
 
 

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ._text import fmt_float
+from ._text import fmt_float, read_csv, write_csv, write_text
 from .certify import (
     alpha_sweep,
     filter_first_k,
@@ -73,24 +73,11 @@ def _write_counts_csv(counts: np.ndarray, path, top_k: int | None) -> None:
             raise ValueError(f"top-k {top_k} exceeds vocab size {counts.size}")
         order = np.lexsort((ids, -counts))[:top_k]
         ids = order
-    lines = [COUNTS_HEADER]
-    lines.extend(f"{int(i)},{int(counts[i])}" for i in ids)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, COUNTS_HEADER, (f"{int(i)},{int(counts[i])}" for i in ids))
 
 
 def _read_counts_csv(path) -> dict[int, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != COUNTS_HEADER:
-        raise ValueError(f"{path}: not a counts CSV (bad header)")
-    counts: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ValueError(f"{path}: bad counts row at line {lineno}")
-        counts[int(cells[0])] = int(cells[1])
-    return counts
+    return dict(read_csv(path, COUNTS_HEADER, lambda c: (int(c[0]), int(c[1])), "counts"))
 
 
 def _read_corpus(path) -> list[int]:
@@ -195,10 +182,9 @@ def _cmd_toy_train(args) -> None:
     tuned, losses = train(model, task, config)
     write_checkpoint(model_to_checkpoint(tuned), args.out)
     if args.loss_out is not None:
-        lines = ["epoch,loss"]
-        lines.extend(f"{i},{fmt_float(l)}" for i, l in enumerate(losses))
-        with open(args.loss_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(
+            args.loss_out, "epoch,loss", (f"{i},{fmt_float(l)}" for i, l in enumerate(losses))
+        )
 
 
 def _cmd_toy_eval(args) -> None:
@@ -207,8 +193,7 @@ def _cmd_toy_eval(args) -> None:
     line = f"accuracy={fmt_float(evaluate(model, task))}"
     print(line)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(line + "\n")
+        write_text(args.out, line + "\n")
 
 
 def _cmd_toy_predict_log(args) -> None:
@@ -344,7 +329,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CheckpointError, ValueError, OSError) as exc:
+    except (CheckpointError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

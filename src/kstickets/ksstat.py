@@ -17,6 +17,7 @@ __all__ = [
     "empirical_cdf_at",
     "ks_statistic",
     "ks_critical_value",
+    "ks_tau",
     "ks_pvalue_asymptotic",
     "ks_pvalue_permutation",
     "ks_two_sample_test",
@@ -99,6 +100,14 @@ def ks_critical_value(alpha: float, n: int, m: int) -> float:
         raise ValueError("sample sizes must be >= 1")
     c = math.sqrt(math.log(2.0 / alpha) / 2.0)
     return c * math.sqrt((n + m) / (n * m))
+
+
+def ks_tau(alpha: float, d: int) -> float:
+    """Per-row threshold tau(alpha) with n = m = d, and the convention tau(1) = 0.
+
+    At alpha = 1 every distributional change (statistic > 0) rejects.
+    """
+    return 0.0 if alpha == 1.0 else ks_critical_value(alpha, d, d)
 
 
 def ks_pvalue_asymptotic(

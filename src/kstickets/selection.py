@@ -12,13 +12,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._text import fmt_float, parse_optional_float, parse_optional_int
+from ._text import fmt_float, parse_optional, read_csv, write_csv, write_text
 from .checkpoint import EmbeddingView
 from .ksstat import (
     Sample,
-    ks_critical_value,
     ks_pvalue_asymptotic,
     ks_statistic,
+    ks_tau,
     ks_two_sample_test,
 )
 
@@ -194,11 +194,10 @@ def select_by_alpha(
     if d < 2:
         raise ValueError("d must be >= 2")
     v = _vocab_size(scores)
+    tau = ks_tau(alpha, d)
     if alpha == 1.0:
-        tau = 0.0
         ids = sorted(s.token_id for s in scores if s.ks_statistic > 0.0)
     else:
-        tau = ks_critical_value(alpha, d, d)
         ids = sorted(s.token_id for s in scores if s.p_value < alpha)
     return WinningTicketSet(
         method="ks", alpha=alpha, tau=tau, vocab_size=v, token_ids=tuple(ids)
@@ -247,15 +246,14 @@ def normalized_rank(
 
 def count_frequencies(corpus: Iterable[int], vocab_size: int) -> np.ndarray:
     """Exact occurrence counts per token id; absent ids count 0."""
-    counts = np.zeros(vocab_size, dtype=np.int64)
-    for pos, tok in enumerate(corpus):
-        t = int(tok)
-        if not 0 <= t < vocab_size:
-            raise ValueError(
-                f"token id {t} out of range [0, {vocab_size}) at position {pos}"
-            )
-        counts[t] += 1
-    return counts
+    ids = np.asarray(corpus if isinstance(corpus, np.ndarray) else list(corpus), dtype=np.int64)
+    bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(
+            f"token id {ids[pos]} out of range [0, {vocab_size}) at position {pos}"
+        )
+    return np.bincount(ids, minlength=vocab_size)
 
 
 def select_by_frequency(counts, k: int) -> WinningTicketSet:
@@ -305,77 +303,59 @@ def compare_ticket_distributions(
 
 
 def write_scores_csv(scores: Sequence[TokenScore], path) -> None:
-    lines = [SCORES_HEADER]
-    for s in scores:
-        freq = "" if s.frequency is None else str(s.frequency)
-        lines.append(
-            ",".join(
-                [
-                    str(s.token_id),
-                    fmt_float(s.ks_statistic),
-                    fmt_float(s.p_value),
-                    fmt_float(s.cos),
-                    fmt_float(s.abs_l2),
-                    fmt_float(s.relative),
-                    fmt_float(s.ratio),
-                    fmt_float(s.kl),
-                    freq,
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        SCORES_HEADER,
+        (
+            f"{s.token_id},{fmt_float(s.ks_statistic)},{fmt_float(s.p_value)},"
+            f"{fmt_float(s.cos)},{fmt_float(s.abs_l2)},{fmt_float(s.relative)},"
+            f"{fmt_float(s.ratio)},{fmt_float(s.kl)},"
+            f"{'' if s.frequency is None else s.frequency}"
+            for s in scores
+        ),
+    )
+
+
+def _score_row(c: list[str]) -> TokenScore:
+    return TokenScore(
+        int(c[0]), float(c[1]), float(c[2]), float(c[3]), float(c[4]),
+        float(c[5]), float(c[6]), float(c[7]), parse_optional(c[8]),
+    )
 
 
 def read_scores_csv(path) -> list[TokenScore]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != SCORES_HEADER:
-        raise ValueError(f"{path}: not a scores CSV (bad header)")
-    scores = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 9:
-            raise ValueError(f"{path}: bad scores row at line {lineno}")
-        scores.append(
-            TokenScore(
-                token_id=int(cells[0]),
-                ks_statistic=float(cells[1]),
-                p_value=float(cells[2]),
-                cos=float(cells[3]),
-                abs_l2=float(cells[4]),
-                relative=float(cells[5]),
-                ratio=float(cells[6]),
-                kl=float(cells[7]),
-                frequency=parse_optional_int(cells[8]),
-            )
-        )
-    return scores
+    return read_csv(path, SCORES_HEADER, _score_row, "scores")
 
 
 def write_ticket_file(tickets: WinningTicketSet, path) -> None:
     def opt(x):
         return "" if x is None else repr(float(x))
 
-    lines = [
-        f"method={tickets.method}",
-        f"alpha={opt(tickets.alpha)}",
-        f"tau={opt(tickets.tau)}",
-        f"vocab_size={tickets.vocab_size}",
-        "token_ids=" + ",".join(str(i) for i in tickets.token_ids),
-    ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(
+        path,
+        f"method={tickets.method}\n"
+        f"alpha={opt(tickets.alpha)}\n"
+        f"tau={opt(tickets.tau)}\n"
+        f"vocab_size={tickets.vocab_size}\n"
+        f"token_ids={','.join(str(i) for i in tickets.token_ids)}\n",
+    )
 
 
 def read_ticket_file(path) -> WinningTicketSet:
+    """Parse key=value lines; a line without '=' or a repeated key is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     fields = {}
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: bad ticket row at line {lineno}: no '='")
+        if key in fields:
+            raise ValueError(
+                f"{path}: bad ticket row at line {lineno}: duplicate key {key!r}"
+            )
         fields[key] = value
     missing = [k for k in _TICKET_FIELDS if k not in fields]
     if missing:
@@ -384,8 +364,8 @@ def read_ticket_file(path) -> WinningTicketSet:
     ids = tuple(int(i) for i in ids_text.split(",")) if ids_text else ()
     return WinningTicketSet(
         method=fields["method"].strip(),
-        alpha=parse_optional_float(fields["alpha"]),
-        tau=parse_optional_float(fields["tau"]),
+        alpha=parse_optional(fields["alpha"], float),
+        tau=parse_optional(fields["tau"], float),
         vocab_size=int(fields["vocab_size"]),
         token_ids=ids,
     )

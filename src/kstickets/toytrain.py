@@ -9,9 +9,11 @@ Training is plain seeded minibatch SGD and bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from ._text import read_csv, write_csv
 from .certify import PredictionRecord
 from .checkpoint import Checkpoint, TensorRecord
 from .selection import WinningTicketSet
@@ -384,32 +386,12 @@ def model_from_checkpoint(ckpt: Checkpoint) -> ToyModel:
 
 
 def write_task_csv(task: SyntheticTask, path) -> None:
-    lines = [TASK_HEADER]
-    lines.extend(f"{s},{t}" for s, t in zip(task.sources, task.targets))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, TASK_HEADER, (f"{s},{t}" for s, t in zip(task.sources, task.targets)))
 
 
 def read_task_csv(path, vocab_size: int) -> SyntheticTask:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != TASK_HEADER:
-        raise ValueError(f"{path}: not a task file (bad header)")
-    if len(lines) < 2:
+    pairs = read_csv(path, TASK_HEADER, lambda c: (int(c[0]), int(c[1])), "task")
+    if not pairs:
         raise ValueError(f"{path}: no pairs")
-    sources = []
-    targets = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ValueError(f"{path}: bad pair at line {lineno}")
-        try:
-            sources.append(int(cells[0]))
-            targets.append(int(cells[1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad pair at line {lineno}") from exc
-    return SyntheticTask(
-        vocab_size=vocab_size,
-        sources=np.asarray(sources, dtype=np.int64),
-        targets=np.asarray(targets, dtype=np.int64),
-    )
+    arr = np.fromiter(chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
+    return SyntheticTask(vocab_size=vocab_size, sources=arr[:, 0], targets=arr[:, 1])

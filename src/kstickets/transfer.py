@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import write_text
 from .checkpoint import Checkpoint, TensorRecord, validate_pair
 from .selection import WinningTicketSet
 
@@ -89,5 +90,4 @@ def diff_rows(a: Checkpoint, b: Checkpoint, tensor_name: str) -> set[int]:
 
 def write_mask_file(mask: RowMask, path) -> None:
     """One line per row: 1 if trainable, 0 if frozen."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join("1\n" if t else "0\n" for t in mask.trainable))
+    write_text(path, "".join("1\n" if t else "0\n" for t in mask.trainable))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,46 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             read_checkpoint(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize(
+        "layout, payload_bytes",
+        [
+            ([0, 0], 16),  # overlap: both tensors claim bytes 0..8
+            ([0, 12], 20),  # gap of 4 bytes between the payloads
+            ([0, 8], 20),  # 4 trailing bytes after the last payload
+            ([8, 0], 16),  # payloads out of header order
+        ],
+    )
+    def test_payloads_must_tile_the_file(self, tmp_path, layout, payload_bytes):
+        header = "".join(
+            f"{name}\t2\t{off}\t8\n" for name, off in zip("ab", layout)
+        ).encode()
+        path = tmp_path / "layout.ckpt"
+        path.write_bytes(
+            b"KSLT" + struct.pack("<II", 1, len(header)) + header + bytes(payload_bytes)
+        )
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            read_checkpoint(path)
+
+
+class TestAtomicWrite:
+    def test_failed_payload_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(make_ckpt(("w", (2,))), path)
+        before = path.read_bytes()
+
+        class DiskFull:
+            size = 1
+
+            def astype(self, *args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+        ckpt = make_ckpt(("a", (4,)), ("b", (1,)))
+        ckpt.tensors[1].data = DiskFull()  # the second payload write fails
+        with pytest.raises(CheckpointError, match="No space left"):
+            write_checkpoint(ckpt, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 class TestEmbeddingView:

@@ -349,3 +349,67 @@ def test_freq_out_of_range_token(tmp_path, capsys):
                 "--out", str(tmp_path / "c.csv")])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_freq_token_beyond_int64_exits_two(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("1\n99999999999999999999\n")
+    code = run(["freq", "--corpus", str(corpus), "--vocab", "8",
+                "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+
+
+SCORES_HEADER = "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency"
+LOG_HEADER = (
+    "example_id,position,reference_id,tuned_pred_id,tuned_p1,tuned_p2,"
+    "partial_pred_id,base_p1,base_p2"
+)
+
+
+@pytest.mark.parametrize(
+    "what, text, argv",
+    [
+        ("scores", f"{SCORES_HEADER}\n0,0,1,1,0,1,0,0,\n1,x,1,1,0,1,0,0,\n",
+         ["select", "--scores", "{bad}", "--alpha", "0.05", "--dim", "4", "--out", "{out}"]),
+        ("log", f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,,\n0,1,1,1,0.9,zz,,,\n",
+         ["certify", "--log", "{bad}", "--dim", "4", "--alpha", "0.05", "--out", "{out}"]),
+        ("task", "source,target\n0,1\n2,q\n",
+         ["toy", "eval", "--model", "{ckpt}", "--task", "{bad}", "--out", "{out}"]),
+        ("counts", "token_id,count\n0,1\n1,1.5\n",
+         ["analyze", "--base", "{ckpt}", "--tuned", "{ckpt}", "--tensor", "embedding",
+          "--freq", "{bad}", "--out", "{out}"]),
+    ],
+    ids=["scores", "log", "task", "counts"],
+)
+def test_malformed_cell_names_path_and_line(tmp_path, capsys, what, text, argv):
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    bad = tmp_path / f"{what}.csv"
+    bad.write_text(text)
+    out = tmp_path / "out.txt"
+    code = run([a.format(bad=bad, out=out, ckpt=ckpt) for a in argv])
+    assert code == 2
+    assert f"{bad}: bad {what} row at line 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", ["garbage\n", "token_ids=3\n"], ids=["no-equals", "repeated-key"]
+)
+def test_malformed_ticket_file_exits_two(tmp_path, capsys, extra):
+    tickets = tmp_path / "tickets.txt"
+    tickets.write_text("method=ks\nalpha=\ntau=\nvocab_size=8\ntoken_ids=1\n" + extra)
+    code = run(["mask", "--tickets", str(tickets), "--out", str(tmp_path / "m.txt")])
+    assert code == 2
+    assert f"{tickets}: bad ticket row at line 6" in capsys.readouterr().err
+
+
+def test_checkpoint_with_trailing_bytes_exits_two(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    with open(ckpt, "ab") as fh:
+        fh.write(bytes(8))
+    code = run(["analyze", "--base", str(ckpt), "--tuned", str(ckpt),
+                "--tensor", "embedding", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "8 trailing payload bytes" in capsys.readouterr().err

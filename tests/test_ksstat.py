@@ -10,6 +10,7 @@ from kstickets.ksstat import (
     ks_pvalue_asymptotic,
     ks_pvalue_permutation,
     ks_statistic,
+    ks_tau,
     ks_two_sample_test,
     tau_from_pvalue_inversion,
 )
@@ -117,6 +118,12 @@ class TestCriticalValue:
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError):
             ks_critical_value(alpha, 10, 10)
+
+    def test_ks_tau_convention(self):
+        assert ks_tau(1.0, 64) == 0.0
+        assert ks_tau(0.05, 64) == ks_critical_value(0.05, 64, 64)
+        with pytest.raises(ValueError):
+            ks_tau(0.0, 64)
 
     def test_closed_form_matches_reference_table(self):
         # c(alpha) for the classic table rows, 4 significant digits

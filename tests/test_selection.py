@@ -267,6 +267,18 @@ class TestFrequencies:
         with pytest.raises(ValueError, match="position 2"):
             count_frequencies([0, 1, 7], 4)
 
+    def test_matches_scalar_loop(self):
+        corpus = [(k * 7 + k // 3) % 50 for k in range(5000)]
+        expected = np.zeros(64, dtype=np.int64)
+        for tok in corpus:
+            expected[tok] += 1
+        for ids in (corpus, np.asarray(corpus, dtype=np.int32), iter(corpus)):
+            got = count_frequencies(ids, 64)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+        with pytest.raises(ValueError, match="token id -1 .* position 1"):
+            count_frequencies(iter([0, -1, 9]), 4)
+
     def test_select_top1(self):
         assert select_by_frequency([0, 2, 1, 0], 1).token_ids == (1,)
 
@@ -371,4 +383,20 @@ class TestFileFormats:
         path = tmp_path / "tickets.txt"
         path.write_text("method=ks\nalpha=0.05\n")
         with pytest.raises(ValueError, match="missing fields"):
+            read_ticket_file(path)
+
+    def test_ticket_file_rejects_line_without_equals(self, tmp_path):
+        path = tmp_path / "tickets.txt"
+        path.write_text(
+            "method=ks\nalpha=\ntau=\nvocab_size=8\ntoken_ids=1\ngarbage\n"
+        )
+        with pytest.raises(ValueError, match="line 6: no '='"):
+            read_ticket_file(path)
+
+    def test_ticket_file_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "tickets.txt"
+        path.write_text(
+            "method=ks\nalpha=\ntau=\nvocab_size=8\ntoken_ids=1\ntoken_ids=3\n"
+        )
+        with pytest.raises(ValueError, match="line 6: duplicate key 'token_ids'"):
             read_ticket_file(path)
