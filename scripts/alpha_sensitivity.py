@@ -53,8 +53,8 @@ def main():
         partial_model, _ = train(
             base, task, TrainConfig(mode="partial", tickets=tickets, **cfg)
         )
-        records = emit_prediction_log(embed_model, partial_model, base, task)
-        report = alpha_sweep(records, [alpha], args.dim)[0]
+        log = emit_prediction_log(embed_model, partial_model, base, task)
+        report = alpha_sweep(log, [alpha], args.dim)[0]
         consistency = compare_ticket_distributions(
             view_of(partial_model.embedding),
             view_of(embed_model.embedding),

@@ -8,10 +8,10 @@ end-to-end verification.
 
 from .certify import (
     CertificationReport,
-    PredictionRecord,
+    PredictionLog,
     alpha_sweep,
     certification_report,
-    certify_record,
+    certified,
     filter_first_k,
 )
 from .checkpoint import (
@@ -38,6 +38,7 @@ from .ksstat import (
     tau_from_pvalue_inversion,
 )
 from .selection import (
+    ScoreTable,
     TokenScore,
     WinningTicketSet,
     analyze_pair,

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import repeat
 
 
-def fmt_float(x: float) -> str:
-    """Floats in CSV/report outputs carry 9 significant digits."""
-    return f"{x:.9g}"
+# Floats in CSV/report outputs carry 9 significant digits.
+fmt_float = "{:.9g}".format
 
 
 def parse_optional(text: str, parse=int):
@@ -52,24 +52,42 @@ def write_csv(path, header: str, lines) -> None:
     write_text(path, "\n".join([header, *lines]) + "\n")
 
 
-def read_csv(path, header: str, parse_row, what: str) -> list:
-    """parse_row(cells) for every row of a CSV whose first line is header.
+def column_lines(columns):
+    """CSV lines from numpy columns; every cell of an absent (None) column is blank."""
+    cells = [
+        repeat("") if col is None
+        else map(fmt_float if col.dtype.kind == "f" else str, col.tolist())
+        for col in columns
+    ]
+    return map(",".join, zip(*cells))
 
-    Each row must have as many cells as the header. A ValueError from a row,
-    including one raised by parse_row, is re-raised naming path and line.
+
+def read_csv(path, header: str, parsers, what: str) -> list[list]:
+    """The columns of a CSV whose first line is header, parsed one column at a
+    time: parsers[j] converts every cell of column j.
+
+    Each row must have as many cells as the header. A ValueError from a
+    parser is re-raised naming path and the line of the first bad row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: not a {what} file (bad header)")
     ncells = header.count(",") + 1
-    rows = []
+    rows = lines[1:]
     try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != ncells:
-                raise ValueError(f"{len(cells)} cells, expected {ncells}")
-            rows.append(parse_row(cells))
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad {what} row at line {lineno}: {exc}") from exc
-    return rows
+        if any(row.count(",") != ncells - 1 for row in rows):
+            raise ValueError
+        cells = ",".join(rows).split(",") if rows else []
+        return [list(map(parse, cells[j::ncells])) for j, parse in enumerate(parsers)]
+    except ValueError:
+        for lineno, row in enumerate(rows, start=2):  # find the first bad row
+            cells = row.split(",")
+            try:
+                if len(cells) != ncells:
+                    raise ValueError(f"{len(cells)} cells, expected {ncells}")
+                for parse, cell in zip(parsers, cells):
+                    parse(cell)
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad {what} row at line {lineno}: {exc}") from exc
+        raise

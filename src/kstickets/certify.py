@@ -8,16 +8,19 @@ then cannot flip the argmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Sequence
 
-from ._text import fmt_float, parse_optional, read_csv, write_csv, write_text
+import numpy as np
+
+from ._text import column_lines, fmt_float, parse_optional, read_csv, write_csv, write_text
 from .ksstat import ks_tau
 
 __all__ = [
-    "PredictionRecord",
+    "PredictionLog",
     "CertificationReport",
-    "certify_record",
+    "certified",
     "filter_first_k",
     "certification_report",
     "alpha_sweep",
@@ -34,33 +37,56 @@ LOG_HEADER = (
     "partial_pred_id,base_p1,base_p2"
 )
 
+_FLOAT_COLUMNS = ("p1", "p2", "base_p1", "base_p2")
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One next-token event with the tuned model's top-2 probabilities."""
 
-    example_id: int
-    position: int
-    reference_token: int
-    tuned_prediction: int
-    p1: float
-    p2: float
-    partial_prediction: int | None = None
-    base_p1: float | None = None
-    base_p2: float | None = None
+class _BadRecord(ValueError):
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"record {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionLog:
+    """Next-token events with the tuned model's top-2 probabilities, one numpy
+    column per field; partial_prediction, and base_p1 with base_p2, may be None."""
+
+    example_id: np.ndarray
+    position: np.ndarray
+    reference_token: np.ndarray
+    tuned_prediction: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    partial_prediction: np.ndarray | None = None
+    base_p1: np.ndarray | None = None
+    base_p2: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.position < 0:
-            raise ValueError("position must be >= 0")
-        if not 0.0 <= self.p2 <= self.p1 <= 1.0:
-            raise ValueError(f"require 1 >= p1 >= p2 >= 0, got {self.p1}, {self.p2}")
+        n = np.size(self.example_id)
+        for f in fields(self):
+            if (col := getattr(self, f.name)) is not None:
+                col = np.asarray(col, dtype=np.float64 if f.name in _FLOAT_COLUMNS else np.int64)
+                if col.shape != (n,):
+                    raise ValueError(f"column {f.name} has shape {col.shape}, expected ({n},)")
+                object.__setattr__(self, f.name, col)
         if (self.base_p1 is None) != (self.base_p2 is None):
             raise ValueError("base_p1 and base_p2 must be given together")
-        if self.base_p1 is not None and not 0.0 <= self.base_p2 <= self.base_p1 <= 1.0:
-            raise ValueError(
-                f"require 1 >= base_p1 >= base_p2 >= 0, got "
-                f"{self.base_p1}, {self.base_p2}"
-            )
+        pairs = [("p1", "p2"), ("base_p1", "base_p2")][: 1 + (self.base_p1 is not None)]
+        ok = self.position >= 0
+        for a, b in pairs:
+            hi, lo = getattr(self, a), getattr(self, b)
+            ok = ok & (0.0 <= lo) & (lo <= hi) & (hi <= 1.0)
+        if not ok.all():  # name the first failing record and its first failing check
+            i = int(np.argmin(ok))
+            if self.position[i] < 0:
+                raise _BadRecord(i, "position must be >= 0")
+            for a, b in pairs:
+                hi, lo = getattr(self, a)[i], getattr(self, b)[i]
+                if not 0.0 <= lo <= hi <= 1.0:
+                    raise _BadRecord(i, f"require 1 >= {a} >= {b} >= 0, got {hi}, {lo}")
+
+    def __len__(self) -> int:
+        return self.example_id.size
 
 
 @dataclass(frozen=True)
@@ -75,118 +101,89 @@ class CertificationReport:
     prediction_accuracy: float | None = None
 
 
-def _gap_probs(record: PredictionRecord, prob_source: str) -> tuple[float, float]:
+def _half_gap(log: PredictionLog, prob_source: str) -> np.ndarray:
+    if prob_source not in PROB_SOURCES:
+        raise ValueError(f"unknown prob_source {prob_source!r}")
     if prob_source == "tuned":
-        return record.p1, record.p2
-    if prob_source == "base":
-        if record.base_p1 is None or record.base_p2 is None:
-            raise ValueError("record has no base-model probabilities")
-        return record.base_p1, record.base_p2
-    raise ValueError(f"unknown prob_source {prob_source!r}")
+        return (log.p1 - log.p2) / 2.0
+    if log.base_p1 is None:
+        raise ValueError("record has no base-model probabilities")
+    return (log.base_p1 - log.base_p2) / 2.0
 
 
-def certify_record(
-    record: PredictionRecord, tau: float, prob_source: str = "tuned"
-) -> bool:
-    """True iff the tuned prediction is correct and (p1 - p2)/2 > tau.
+def certified(log: PredictionLog, tau: float, prob_source: str = "tuned") -> np.ndarray:
+    """Per record: the tuned prediction is correct and (p1 - p2)/2 > tau.
 
     The inequality is strict: with tau = 0 an exact p1 == p2 tie fails.
     """
-    p1, p2 = _gap_probs(record, prob_source)
-    return (
-        record.tuned_prediction == record.reference_token
-        and (p1 - p2) / 2.0 > tau
-    )
+    verified = _half_gap(log, prob_source) > tau
+    return (log.tuned_prediction == log.reference_token) & verified
 
 
-def filter_first_k(
-    records: Sequence[PredictionRecord], k: int = 20
-) -> list[PredictionRecord]:
+def filter_first_k(log: PredictionLog, k: int = 20) -> PredictionLog:
     """Keep only the first k positions of every example."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [r for r in records if r.position < k]
+    keep = log.position < k
+    columns = (getattr(log, f.name) for f in fields(log))
+    return PredictionLog(*(None if col is None else col[keep] for col in columns))
 
 
 def certification_report(
-    records: Sequence[PredictionRecord],
-    alpha: float,
-    d: int,
-    prob_source: str = "tuned",
-    first_k: int | None = None,
+    log: PredictionLog, alpha: float, d: int, prob_source: str = "tuned"
 ) -> CertificationReport:
     """Certified/tuned/partial accuracy and verified percentage at one alpha.
 
     tau = tau(alpha) with n = m = d; alpha = 1 uses the tau(1) = 0 convention.
-    prediction_accuracy is reported only when every record carries a
-    partial-model prediction.
+    prediction_accuracy is reported only when the log carries partial-model
+    predictions.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    recs = list(records) if first_k is None else filter_first_k(records, first_k)
-    if not recs:
+    n = len(log)
+    if not n:
         raise ValueError("empty record set")
     tau = ks_tau(alpha, d)
-    n = len(recs)
-    certified = sum(certify_record(r, tau, prob_source) for r in recs) / n
-    tuned_acc = sum(r.tuned_prediction == r.reference_token for r in recs) / n
-    verified = 0
-    for r in recs:
-        p1, p2 = _gap_probs(r, prob_source)
-        verified += (p1 - p2) / 2.0 > tau
-    prediction_acc = None
-    if all(r.partial_prediction is not None for r in recs):
-        prediction_acc = (
-            sum(r.partial_prediction == r.reference_token for r in recs) / n
-        )
+    correct = log.tuned_prediction == log.reference_token
+    verified = _half_gap(log, prob_source) > tau
+    partial = log.partial_prediction
     return CertificationReport(
-        alpha=alpha,
-        tau=tau,
-        d=d,
-        n_records=n,
-        certified_accuracy=certified,
-        tuned_accuracy=tuned_acc,
-        verified_percentage=verified / n,
-        prediction_accuracy=prediction_acc,
+        alpha=alpha, tau=tau, d=d, n_records=n,
+        certified_accuracy=np.count_nonzero(correct & verified) / n,
+        tuned_accuracy=np.count_nonzero(correct) / n,
+        verified_percentage=np.count_nonzero(verified) / n,
+        prediction_accuracy=None if partial is None
+        else np.count_nonzero(partial == log.reference_token) / n,
     )
 
 
 def alpha_sweep(
-    records: Sequence[PredictionRecord],
-    alphas: Sequence[float],
-    d: int,
-    prob_source: str = "tuned",
+    log: PredictionLog, alphas: Sequence[float], d: int, prob_source: str = "tuned"
 ) -> list[CertificationReport]:
     """One report per alpha, in the given order."""
-    return [certification_report(records, a, d, prob_source) for a in alphas]
+    return [certification_report(log, a, d, prob_source) for a in alphas]
 
 
-def write_prediction_log(records: Sequence[PredictionRecord], path) -> None:
-    write_csv(
-        path,
-        LOG_HEADER,
-        (
-            f"{r.example_id},{r.position},{r.reference_token},{r.tuned_prediction},"
-            f"{fmt_float(r.p1)},{fmt_float(r.p2)},"
-            f"{'' if r.partial_prediction is None else r.partial_prediction},"
-            f"{'' if r.base_p1 is None else fmt_float(r.base_p1)},"
-            f"{'' if r.base_p2 is None else fmt_float(r.base_p2)}"
-            for r in records
-        ),
-    )
+def write_prediction_log(log: PredictionLog, path) -> None:
+    """One line per record; the cells of an absent column are blank."""
+    write_csv(path, LOG_HEADER, column_lines(getattr(log, f.name) for f in fields(log)))
 
 
-def _log_row(c: list[str]) -> PredictionRecord:
-    return PredictionRecord(
-        int(c[0]), int(c[1]), int(c[2]), int(c[3]), float(c[4]), float(c[5]),
-        parse_optional(c[6]), parse_optional(c[7], float), parse_optional(c[8], float),
-    )
-
-
-def read_prediction_log(path) -> list[PredictionRecord]:
-    return read_csv(path, LOG_HEADER, _log_row, "log")
+def read_prediction_log(path) -> PredictionLog:
+    """A blank cell in any row leaves that optional column absent."""
+    opt_float = partial(parse_optional, parse=float)
+    parsers = (int, int, int, int, float, float, parse_optional, opt_float, opt_float)
+    columns = read_csv(path, LOG_HEADER, parsers, "log")
+    pairs = enumerate(zip(columns[7], columns[8]))
+    half = next((i for i, (b1, b2) in pairs if (b1 is None) != (b2 is None)), None)
+    try:
+        if half is not None:
+            raise _BadRecord(half, "base_p1 and base_p2 must be given together")
+        return PredictionLog(*columns[:6], *(None if None in c else c for c in columns[6:]))
+    except _BadRecord as exc:
+        raise ValueError(f"{path}: bad log row at line {exc.index + 2}: {exc.reason}") from exc
 
 
 def render_report(report: CertificationReport) -> str:

@@ -10,6 +10,7 @@ float32 payloads, row-major, no padding.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -129,30 +130,51 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         with atomic_open(path, "wb") as fh:
             fh.write(MAGIC + struct.pack("<II", ckpt.format_version, len(header)) + header)
             for t in ckpt.tensors:
-                fh.write(t.data.astype("<f4", copy=False).tobytes())
+                fh.write(t.data.astype("<f4", copy=False).data)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
+def _read_rest(fh, skip: int) -> memoryview:
+    """The rest of fh, read in place into one buffer in which the bytes after
+    the first `skip` start 4-byte aligned; a pipe is read to its end too."""
+
+    def aligned(nbytes: int) -> memoryview:
+        return memoryview(np.empty((nbytes + 3) // 4, dtype=np.float32)).cast("B")
+
+    pad = -skip % 4
+    buf, n = aligned(pad + os.fstat(fh.fileno()).st_size), pad
+    while True:
+        if n == buf.nbytes:  # full: a pipe, or a file that grew
+            buf, full = aligned(2 * n + 4096), buf
+            buf[:n] = full
+        if not (got := fh.readinto(buf[n:])):
+            return buf[pad:n]
+        n += got
+
+
 def read_checkpoint(path) -> Checkpoint:
-    """Parse and validate a checkpoint file; the payloads must tile it exactly."""
+    """Parse and validate a checkpoint file; the payloads must tile it exactly.
+    The file is read once into one buffer, and each tensor is a view of it."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(12)
+            header_len = struct.unpack("<I", head[8:12])[0] if len(head) == 12 else 0
+            rest = _read_rest(fh, header_len)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < 12 or blob[:4] != MAGIC:
+    if len(head) < 12 or head[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint")
-    version, header_len = struct.unpack("<II", blob[4:12])
+    (version,) = struct.unpack("<I", head[4:8])
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    if len(blob) < 12 + header_len:
+    if len(rest) < header_len:
         raise CheckpointError(f"{path}: corrupt checkpoint (truncated header)")
     try:
-        header = blob[12 : 12 + header_len].decode("utf-8")
+        header = str(rest[:header_len], "utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint (bad header)") from exc
-    payload = blob[12 + header_len :]
+    payload = rest[header_len:]
 
     tensors = []
     end = 0  # payloads are contiguous in header order and fill the file exactly
@@ -177,7 +199,7 @@ def read_checkpoint(path) -> Checkpoint:
                 f"{path}: corrupt checkpoint (tensor {name!r} length/shape mismatch)"
             )
         data = np.frombuffer(payload, dtype="<f4", count=length // 4, offset=off)
-        tensors.append(TensorRecord(name, shape, data.astype(np.float32, copy=True)))
+        tensors.append(TensorRecord(name, shape, data))
     if end != len(payload):
         raise CheckpointError(
             f"{path}: corrupt checkpoint ({len(payload) - end} trailing payload bytes)"

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from ._text import fmt_float, read_csv, write_csv, write_text
+from ._text import column_lines, fmt_float, read_csv, write_csv, write_text
 from .certify import (
+    PROB_SOURCES,
     alpha_sweep,
     filter_first_k,
     read_prediction_log,
@@ -28,6 +30,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .selection import (
+    SELECTION_METHODS,
     analyze_pair,
     read_scores_csv,
     read_ticket_file,
@@ -71,13 +74,14 @@ def _write_counts_csv(counts: np.ndarray, path, top_k: int | None) -> None:
     if top_k is not None:
         if top_k > counts.size:
             raise ValueError(f"top-k {top_k} exceeds vocab size {counts.size}")
-        order = np.lexsort((ids, -counts))[:top_k]
-        ids = order
-    write_csv(path, COUNTS_HEADER, (f"{int(i)},{int(counts[i])}" for i in ids))
+        ids = np.lexsort((ids, -counts))[:top_k]
+    write_csv(path, COUNTS_HEADER, column_lines([ids, counts[ids]]))
 
 
-def _read_counts_csv(path) -> dict[int, int]:
-    return dict(read_csv(path, COUNTS_HEADER, lambda c: (int(c[0]), int(c[1])), "counts"))
+def _read_counts_csv(path, vocab_size: int) -> np.ndarray:
+    """The count of every id 0..V-1: 0 when not listed, the last line's when repeated."""
+    by_id = dict(zip(*read_csv(path, COUNTS_HEADER, (int, int), "counts")))
+    return np.array([by_id.get(i, 0) for i in range(vocab_size)], dtype=np.int64)
 
 
 def _read_corpus(path) -> list[int]:
@@ -97,9 +101,7 @@ def _cmd_analyze(args) -> None:
         get_embedding(base, args.tensor), get_embedding(tuned, args.tensor)
     )
     if args.freq is not None:
-        counts = _read_counts_csv(args.freq)
-        for s in scores:
-            s.frequency = counts.get(s.token_id, 0)
+        scores = replace(scores, frequency=_read_counts_csv(args.freq, len(scores)))
     write_scores_csv(scores, args.out)
 
 
@@ -135,16 +137,16 @@ def _cmd_transfer(args) -> None:
 
 
 def _cmd_certify(args) -> None:
-    records = read_prediction_log(args.log)
+    log = read_prediction_log(args.log)
     if args.first_k is not None:
-        records = filter_first_k(records, args.first_k)
+        log = filter_first_k(log, args.first_k)
     try:
         alphas = [float(a) for a in args.alpha.split(",") if a]
     except ValueError as exc:
         raise _UsageError(f"bad --alpha list: {args.alpha!r}") from exc
     if not alphas:
         raise _UsageError("at least one alpha required")
-    reports = alpha_sweep(records, alphas, args.dim, args.prob_source)
+    reports = alpha_sweep(log, alphas, args.dim, args.prob_source)
     write_reports(reports, args.out)
 
 
@@ -182,9 +184,8 @@ def _cmd_toy_train(args) -> None:
     tuned, losses = train(model, task, config)
     write_checkpoint(model_to_checkpoint(tuned), args.out)
     if args.loss_out is not None:
-        write_csv(
-            args.loss_out, "epoch,loss", (f"{i},{fmt_float(l)}" for i, l in enumerate(losses))
-        )
+        epochs = np.arange(len(losses))
+        write_csv(args.loss_out, "epoch,loss", column_lines([epochs, np.array(losses)]))
 
 
 def _cmd_toy_eval(args) -> None:
@@ -197,16 +198,9 @@ def _cmd_toy_eval(args) -> None:
 
 
 def _cmd_toy_predict_log(args) -> None:
-    tuned = model_from_checkpoint(read_checkpoint(args.tuned))
-    partial = (
-        model_from_checkpoint(read_checkpoint(args.partial))
-        if args.partial is not None
-        else None
-    )
-    base = (
-        model_from_checkpoint(read_checkpoint(args.base))
-        if args.base is not None
-        else None
+    tuned, partial, base = (
+        None if path is None else model_from_checkpoint(read_checkpoint(path))
+        for path in (args.tuned, args.partial, args.base)
     )
     task = read_task_csv(args.task, tuned.vocab_size)
     write_prediction_log(emit_prediction_log(tuned, partial, base, task), args.out)
@@ -228,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--alpha", type=float)
     p.add_argument("--dim", type=int)
-    p.add_argument("--method", choices=["ks", "cos", "abs", "relative", "ratio", "kl", "frequency"])
+    p.add_argument("--method", choices=SELECTION_METHODS)
     p.add_argument("--top-k", type=int, dest="top_k")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_select)
@@ -251,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--alpha", required=True, help="comma-separated significance levels")
-    p.add_argument("--prob-source", choices=["tuned", "base"], default="tuned", dest="prob_source")
+    p.add_argument("--prob-source", choices=PROB_SOURCES, default="tuned", dest="prob_source")
     p.add_argument("--first-k", type=int, dest="first_k", help="keep only the first K positions per example")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_certify)

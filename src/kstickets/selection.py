@@ -7,12 +7,12 @@ values, scored with the two-sample KS test plus five baseline change metrics
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
-from ._text import fmt_float, parse_optional, read_csv, write_csv, write_text
+from ._text import column_lines, parse_optional, read_csv, write_csv, write_text
 from .checkpoint import EmbeddingView
 from .ksstat import (
     Sample,
@@ -24,6 +24,7 @@ from .ksstat import (
 
 __all__ = [
     "TokenScore",
+    "ScoreTable",
     "WinningTicketSet",
     "SELECTION_METHODS",
     "score_row",
@@ -54,7 +55,6 @@ _TICKET_FIELDS = ("method", "alpha", "tau", "vocab_size", "token_ids")
 class TokenScore:
     """Change metrics for one row of a base/tuned tensor pair."""
 
-    token_id: int
     ks_statistic: float
     p_value: float
     cos: float
@@ -62,7 +62,39 @@ class TokenScore:
     relative: float
     ratio: float
     kl: float
-    frequency: int | None = None
+
+
+METRICS = tuple(f.name for f in fields(TokenScore))
+
+
+@dataclass(eq=False)
+class ScoreTable:
+    """Change metrics for every row of a tensor pair, one numpy column each:
+    token_id holds each id 0..V-1 once, in any order; frequency may be None."""
+
+    token_id: np.ndarray
+    ks_statistic: np.ndarray
+    p_value: np.ndarray
+    cos: np.ndarray
+    abs_l2: np.ndarray
+    relative: np.ndarray
+    ratio: np.ndarray
+    kl: np.ndarray
+    frequency: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        v = np.size(self.token_id)
+        for f in fields(self):
+            if (col := getattr(self, f.name)) is not None:
+                col = np.asarray(col, dtype=np.float64 if f.name in METRICS else np.int64)
+                if col.shape != (v,):
+                    raise ValueError(f"column {f.name} has shape {col.shape}, expected ({v},)")
+                setattr(self, f.name, col)
+        if not np.array_equal(np.sort(self.token_id), np.arange(v)):
+            raise ValueError("scores must cover token ids 0..V-1 exactly once")
+
+    def __len__(self) -> int:
+        return self.token_id.size
 
 
 @dataclass
@@ -90,9 +122,6 @@ class WinningTicketSet:
     def __len__(self) -> int:
         return len(self.token_ids)
 
-    def __contains__(self, token_id: int) -> bool:
-        return token_id in set(self.token_ids)
-
 
 def _guarded_divisor(x: np.ndarray) -> np.ndarray:
     # sign-preserving floor keeps near-zero base weights from exploding ratios
@@ -116,7 +145,7 @@ def _histogram_kl(t: np.ndarray, b: np.ndarray) -> float:
 
 
 def score_row(base_row, tuned_row) -> TokenScore:
-    """Score one row pair with every metric; token_id is left unset (-1).
+    """Score one row pair with every metric.
 
     The p-value uses n = m = d, matching the per-row reading where one row of
     dimension d is one sample of size d.
@@ -145,7 +174,6 @@ def score_row(base_row, tuned_row) -> TokenScore:
 
     g = _guarded_divisor(b)
     return TokenScore(
-        token_id=-1,
         ks_statistic=stat,
         p_value=p,
         cos=cos,
@@ -156,33 +184,20 @@ def score_row(base_row, tuned_row) -> TokenScore:
     )
 
 
-def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> list[TokenScore]:
+def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
     """Score every row of a shape-matched pair, ordered by token_id."""
-    if (base.vocab_size, base.dim) != (tuned.vocab_size, tuned.dim):
-        raise ValueError(
-            f"shape mismatch: {(base.vocab_size, base.dim)} vs "
-            f"{(tuned.vocab_size, tuned.dim)}"
-        )
-    bm = base.matrix
-    tm = tuned.matrix
-    out = []
-    for i in range(base.vocab_size):
+    bm, tm = base.matrix, tuned.matrix
+    if bm.shape != tm.shape:
+        raise ValueError(f"shape mismatch: {bm.shape} vs {tm.shape}")
+    v = base.vocab_size
+    columns = np.empty((len(METRICS), v))
+    for i in range(v):
         s = score_row(bm[i], tm[i])
-        s.token_id = i
-        out.append(s)
-    return out
+        columns[:, i] = [getattr(s, name) for name in METRICS]
+    return ScoreTable(np.arange(v), *columns)
 
 
-def _vocab_size(scores: Sequence[TokenScore]) -> int:
-    ids = sorted(s.token_id for s in scores)
-    if ids != list(range(len(scores))):
-        raise ValueError("scores must cover token ids 0..V-1 exactly once")
-    return len(scores)
-
-
-def select_by_alpha(
-    scores: Sequence[TokenScore], alpha: float, d: int
-) -> WinningTicketSet:
+def select_by_alpha(scores: ScoreTable, alpha: float, d: int) -> WinningTicketSet:
     """Rows whose per-row test rejects at significance alpha.
 
     For alpha < 1 a row is selected iff its p-value is below alpha. alpha = 1
@@ -193,55 +208,45 @@ def select_by_alpha(
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if d < 2:
         raise ValueError("d must be >= 2")
-    v = _vocab_size(scores)
-    tau = ks_tau(alpha, d)
-    if alpha == 1.0:
-        ids = sorted(s.token_id for s in scores if s.ks_statistic > 0.0)
-    else:
-        ids = sorted(s.token_id for s in scores if s.p_value < alpha)
+    hit = scores.ks_statistic > 0.0 if alpha == 1.0 else scores.p_value < alpha
     return WinningTicketSet(
-        method="ks", alpha=alpha, tau=tau, vocab_size=v, token_ids=tuple(ids)
+        method="ks", alpha=alpha, tau=ks_tau(alpha, d), vocab_size=len(scores),
+        token_ids=tuple(np.sort(scores.token_id[hit]).tolist()),
     )
 
 
-def _ranked(scores: Sequence[TokenScore], metric: str) -> list[TokenScore]:
-    """Most-changed-first ordering for a metric, ties by ascending token_id."""
+def _ranked(scores: ScoreTable, metric: str) -> np.ndarray:
+    """token_ids most-changed-first for a metric, ties by ascending token_id."""
     if metric not in SELECTION_METHODS:
         raise ValueError(f"unknown selection method {metric!r}")
     if metric == "cos":
-        key = lambda s: (s.cos, s.token_id)  # low cosine = large change
+        key = scores.cos  # low cosine = large change
     else:
-        attr = {"ks": "ks_statistic", "abs": "abs_l2"}.get(metric, metric)
-        if metric == "frequency" and any(s.frequency is None for s in scores):
+        column = getattr(scores, {"ks": "ks_statistic", "abs": "abs_l2"}.get(metric, metric))
+        if column is None:
             raise ValueError("frequency ranking requires counts on every score")
-        key = lambda s: (-getattr(s, attr), s.token_id)
-    return sorted(scores, key=key)
+        key = -column
+    return scores.token_id[np.lexsort((scores.token_id, key))]
 
 
-def select_top_k(
-    scores: Sequence[TokenScore], metric: str, k: int
-) -> WinningTicketSet:
+def select_top_k(scores: ScoreTable, metric: str, k: int) -> WinningTicketSet:
     """The k most-changed rows under a metric, returned in token_id order."""
-    v = _vocab_size(scores)
+    v = len(scores)
     if k > v:
         raise ValueError(f"k={k} exceeds vocab size {v}")
     chosen = _ranked(scores, metric)[:k]
     return WinningTicketSet(
-        method=metric,
-        vocab_size=v,
-        token_ids=tuple(sorted(s.token_id for s in chosen)),
+        method=metric, vocab_size=v, token_ids=tuple(np.sort(chosen).tolist())
     )
 
 
-def normalized_rank(
-    scores: Sequence[TokenScore], metric: str, token_id: int
-) -> float:
+def normalized_rank(scores: ScoreTable, metric: str, token_id: int) -> float:
     """1-based most-changed rank divided by V; most-changed row gives 1/V."""
     order = _ranked(scores, metric)
-    for pos, s in enumerate(order, start=1):
-        if s.token_id == token_id:
-            return pos / len(order)
-    raise ValueError(f"unknown token_id {token_id}")
+    pos = np.flatnonzero(order == token_id)
+    if not pos.size:
+        raise ValueError(f"unknown token_id {token_id}")
+    return (int(pos[0]) + 1) / order.size
 
 
 def count_frequencies(corpus: Iterable[int], vocab_size: int) -> np.ndarray:
@@ -281,11 +286,9 @@ def compare_ticket_distributions(
     1.0 means every ticket row keeps the same distribution across the two
     checkpoints; 0.0 means every ticket row rejects at alpha.
     """
-    if (tuned_a.vocab_size, tuned_a.dim) != (tuned_b.vocab_size, tuned_b.dim):
-        raise ValueError(
-            f"shape mismatch: {(tuned_a.vocab_size, tuned_a.dim)} vs "
-            f"{(tuned_b.vocab_size, tuned_b.dim)}"
-        )
+    am, bm = tuned_a.matrix, tuned_b.matrix
+    if am.shape != bm.shape:
+        raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     if tickets.vocab_size != tuned_a.vocab_size:
         raise ValueError(
             f"ticket vocab_size {tickets.vocab_size} does not match "
@@ -293,8 +296,6 @@ def compare_ticket_distributions(
         )
     if not tickets.token_ids:
         return 1.0
-    am = tuned_a.matrix
-    bm = tuned_b.matrix
     rejected = sum(
         ks_two_sample_test(Sample(am[i]), Sample(bm[i]), alpha).reject
         for i in tickets.token_ids
@@ -302,29 +303,16 @@ def compare_ticket_distributions(
     return 1.0 - rejected / len(tickets.token_ids)
 
 
-def write_scores_csv(scores: Sequence[TokenScore], path) -> None:
-    write_csv(
-        path,
-        SCORES_HEADER,
-        (
-            f"{s.token_id},{fmt_float(s.ks_statistic)},{fmt_float(s.p_value)},"
-            f"{fmt_float(s.cos)},{fmt_float(s.abs_l2)},{fmt_float(s.relative)},"
-            f"{fmt_float(s.ratio)},{fmt_float(s.kl)},"
-            f"{'' if s.frequency is None else s.frequency}"
-            for s in scores
-        ),
-    )
+def write_scores_csv(scores: ScoreTable, path) -> None:
+    """One line per row in table order; frequency cells blank when absent."""
+    write_csv(path, SCORES_HEADER, column_lines(getattr(scores, f.name) for f in fields(scores)))
 
 
-def _score_row(c: list[str]) -> TokenScore:
-    return TokenScore(
-        int(c[0]), float(c[1]), float(c[2]), float(c[3]), float(c[4]),
-        float(c[5]), float(c[6]), float(c[7]), parse_optional(c[8]),
-    )
-
-
-def read_scores_csv(path) -> list[TokenScore]:
-    return read_csv(path, SCORES_HEADER, _score_row, "scores")
+def read_scores_csv(path) -> ScoreTable:
+    """A blank frequency cell in any row leaves the whole column absent."""
+    parsers = (int, *[float] * len(METRICS), parse_optional)
+    *columns, freq = read_csv(path, SCORES_HEADER, parsers, "scores")
+    return ScoreTable(*columns, frequency=None if None in freq else freq)
 
 
 def write_ticket_file(tickets: WinningTicketSet, path) -> None:

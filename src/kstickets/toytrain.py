@@ -9,12 +9,11 @@ Training is plain seeded minibatch SGD and bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from ._text import read_csv, write_csv
-from .certify import PredictionRecord
+from ._text import column_lines, read_csv, write_csv
+from .certify import PredictionLog
 from .checkpoint import Checkpoint, TensorRecord
 from .selection import WinningTicketSet
 
@@ -129,10 +128,6 @@ class SyntheticTask:
     @property
     def n_pairs(self) -> int:
         return int(self.sources.size)
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.sources.tolist(), self.targets.tolist()))
 
 
 def generate_task(
@@ -269,10 +264,15 @@ def evaluate(model: ToyModel, task: SyntheticTask) -> float:
 
 
 def _top2(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    order = np.argsort(-probs, axis=1, kind="stable")
+    """Per row: argmax (lowest id on ties), top and runner-up probability.
+
+    Overwrites the top entry of each row of probs.
+    """
     rows = np.arange(probs.shape[0])
-    top = order[:, 0]
-    return top, probs[rows, top], probs[rows, order[:, 1]]
+    top = probs.argmax(axis=1)
+    p1 = probs[rows, top]
+    probs[rows, top] = -np.inf
+    return top, p1, probs.max(axis=1)
 
 
 def emit_prediction_log(
@@ -280,14 +280,12 @@ def emit_prediction_log(
     partial_model: ToyModel | None,
     base_model: ToyModel | None,
     task: SyntheticTask,
-) -> list[PredictionRecord]:
+) -> PredictionLog:
     """One record per pair, grouped into pseudo-examples of 20 positions."""
-    shape = (tuned_model.vocab_size, tuned_model.dim)
+    shape = tuned_model.embedding.shape
     for other in (partial_model, base_model):
-        if other is not None and (other.vocab_size, other.dim) != shape:
-            raise ValueError(
-                f"model shape mismatch: {shape} vs {(other.vocab_size, other.dim)}"
-            )
+        if other is not None and other.embedding.shape != shape:
+            raise ValueError(f"model shape mismatch: {shape} vs {other.embedding.shape}")
     if task.n_pairs == 0:
         raise ValueError("task has no pairs")
 
@@ -299,24 +297,11 @@ def emit_prediction_log(
     if base_model is not None:
         _, base_p1, base_p2 = _top2(_batch_probs(base_model, task.sources))
 
-    records = []
-    for i in range(task.n_pairs):
-        records.append(
-            PredictionRecord(
-                example_id=i // EXAMPLE_GROUP,
-                position=i % EXAMPLE_GROUP,
-                reference_token=int(task.targets[i]),
-                tuned_prediction=int(tuned_pred[i]),
-                p1=float(p1[i]),
-                p2=float(p2[i]),
-                partial_prediction=None
-                if partial_pred is None
-                else int(partial_pred[i]),
-                base_p1=None if base_p1 is None else float(base_p1[i]),
-                base_p2=None if base_p2 is None else float(base_p2[i]),
-            )
-        )
-    return records
+    i = np.arange(task.n_pairs)
+    return PredictionLog(
+        i // EXAMPLE_GROUP, i % EXAMPLE_GROUP, task.targets, tuned_pred, p1, p2,
+        partial_pred, base_p1, base_p2,
+    )
 
 
 def grad_check(model: ToyModel, task: SyntheticTask, epsilon: float = 1e-4) -> float:
@@ -369,14 +354,8 @@ def grad_check(model: ToyModel, task: SyntheticTask, epsilon: float = 1e-4) -> f
 
 
 def model_to_checkpoint(model: ToyModel) -> Checkpoint:
-    return Checkpoint(
-        [
-            TensorRecord(EMBEDDING_TENSOR, model.embedding.shape, model.embedding.ravel()),
-            TensorRecord(
-                OUTPUT_TENSOR, model.output_weights.shape, model.output_weights.ravel()
-            ),
-        ]
-    )
+    pairs = ((EMBEDDING_TENSOR, model.embedding), (OUTPUT_TENSOR, model.output_weights))
+    return Checkpoint([TensorRecord(name, m.shape, m.ravel()) for name, m in pairs])
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ToyModel:
@@ -386,12 +365,11 @@ def model_from_checkpoint(ckpt: Checkpoint) -> ToyModel:
 
 
 def write_task_csv(task: SyntheticTask, path) -> None:
-    write_csv(path, TASK_HEADER, (f"{s},{t}" for s, t in zip(task.sources, task.targets)))
+    write_csv(path, TASK_HEADER, column_lines([task.sources, task.targets]))
 
 
 def read_task_csv(path, vocab_size: int) -> SyntheticTask:
-    pairs = read_csv(path, TASK_HEADER, lambda c: (int(c[0]), int(c[1])), "task")
-    if not pairs:
+    sources, targets = read_csv(path, TASK_HEADER, (int, int), "task")
+    if not sources:
         raise ValueError(f"{path}: no pairs")
-    arr = np.fromiter(chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
-    return SyntheticTask(vocab_size=vocab_size, sources=arr[:, 0], targets=arr[:, 1])
+    return SyntheticTask(vocab_size=vocab_size, sources=sources, targets=targets)

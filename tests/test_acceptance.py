@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from kstickets.certify import (
-    PredictionRecord,
+    PredictionLog,
     alpha_sweep,
-    certify_record,
+    certified,
 )
 from kstickets.checkpoint import (
     Checkpoint,
@@ -198,7 +198,7 @@ def test_criterion_06_certification_ordering(toy_runs):
     runs, _ = toy_runs
     r = runs[0]
     records = emit_prediction_log(r["embed"], r["partial"], r["base"], r["task"])
-    assert all(rec.p1 > rec.p2 for rec in records)  # tie-free fixture
+    assert (records.p1 > records.p2).all()  # tie-free fixture
     alphas = [0.01, 0.05, 0.1, 0.25, 0.5, 1.0]
     reports = alpha_sweep(records, alphas, d=64)
     certified = [rep.certified_accuracy for rep in reports]
@@ -254,20 +254,17 @@ def test_criterion_07_certified_predictions_never_flip():
     reference = np.argmax(q0, axis=1)
     order = np.sort(q0, axis=1)
     p1, p2 = order[:, -1], order[:, -2]
-    records = [
-        PredictionRecord(
-            example_id=i,
-            position=0,
-            reference_token=int(reference[i]),
-            tuned_prediction=int(reference[i]),
-            p1=float(p1[i]),
-            p2=float(p2[i]),
-        )
-        for i in range(n_inputs)
-    ]
-    certified = np.array([certify_record(r, tau) for r in records])
-    assert certified.sum() >= 500
-    keep = np.flatnonzero(certified)[:500]
+    records = PredictionLog(
+        example_id=np.arange(n_inputs),
+        position=np.zeros(n_inputs, dtype=int),
+        reference_token=reference,
+        tuned_prediction=reference,
+        p1=p1,
+        p2=p2,
+    )
+    is_certified = certified(records, tau)
+    assert is_certified.sum() >= 500
+    keep = np.flatnonzero(is_certified)[:500]
 
     # each perturbation replaces floor(tau * d) entries per row, keeping the
     # per-row KS distance strictly under tau; distances verified exactly

@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +172,62 @@ class TestValidation:
         )
         with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             read_checkpoint(path)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes allocated while fn runs, numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Reading holds one copy of the payloads; writing copies none."""
+
+    def write_big(self, path):
+        rng = np.random.default_rng(0)
+        ckpt = Checkpoint([
+            TensorRecord("embedding", (1024, 768), rng.normal(size=1024 * 768)),
+            TensorRecord("output", (512, 768), rng.normal(size=512 * 768)),
+        ])
+        write_checkpoint(ckpt, path)
+        return ckpt, path.stat().st_size
+
+    def test_read_peak_at_most_one_and_a_half_file_sizes(self, tmp_path):
+        ckpt, size = self.write_big(tmp_path / "big.ckpt")
+        back, peak = traced_peak(read_checkpoint, tmp_path / "big.ckpt")
+        assert back.tensor("output").data.tobytes() == ckpt.tensor("output").data.tobytes()
+        assert peak <= 1.5 * size
+
+    def test_write_peak_at_most_a_tenth_of_the_file(self, tmp_path):
+        ckpt, size = self.write_big(tmp_path / "big.ckpt")
+        _, peak = traced_peak(write_checkpoint, ckpt, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "big.ckpt").read_bytes()
+        assert peak <= 0.1 * size
+
+    @pytest.mark.parametrize("name", ["e", "em", "emb", "embe"])  # every header length mod 4
+    def test_tensors_share_one_aligned_buffer(self, tmp_path, name):
+        write_checkpoint(make_ckpt((name, (3, 5)), ("b", (7,))), tmp_path / "m.ckpt")
+        a, b = read_checkpoint(tmp_path / "m.ckpt").tensors
+        assert b.data.ctypes.data == a.data.ctypes.data + a.data.nbytes
+        assert a.data.ctypes.data % 4 == 0 and a.data.flags.aligned and a.data.flags.writeable
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        ckpt, _ = self.write_big(tmp_path / "big.ckpt")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        blob = (tmp_path / "big.ckpt").read_bytes()
+        writer = threading.Thread(target=lambda: fifo.write_bytes(blob))
+        writer.start()
+        try:
+            back = read_checkpoint(fifo)
+        finally:
+            writer.join()
+        for t in ckpt.tensors:
+            assert back.tensor(t.name).data.tobytes() == t.data.tobytes()
 
 
 class TestAtomicWrite:

@@ -105,7 +105,7 @@ def test_analyze_writes_scores(workdir):
     assert code == 0
     scores = read_scores_csv(out)
     assert len(scores) == 64
-    assert all(s.frequency is None for s in scores)
+    assert scores.frequency is None
 
 
 def test_analyze_attaches_frequencies(workdir):
@@ -142,8 +142,8 @@ def test_analyze_attaches_frequencies(workdir):
         == 0
     )
     scores = read_scores_csv(workdir / "scores.csv")
-    assert all(s.frequency is not None for s in scores)
-    assert sum(s.frequency for s in scores) == 300
+    assert scores.frequency is not None
+    assert scores.frequency.sum() == 300
 
 
 def full_analyze(workdir):
@@ -373,13 +373,17 @@ LOG_HEADER = (
          ["select", "--scores", "{bad}", "--alpha", "0.05", "--dim", "4", "--out", "{out}"]),
         ("log", f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,,\n0,1,1,1,0.9,zz,,,\n",
          ["certify", "--log", "{bad}", "--dim", "4", "--alpha", "0.05", "--out", "{out}"]),
+        ("log", f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,,\n0,1,1,1,0.3,0.4,,,\n",
+         ["certify", "--log", "{bad}", "--dim", "4", "--alpha", "0.05", "--out", "{out}"]),
+        ("log", f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,0.5,0.2\n0,1,1,1,0.9,0.1,,0.5,\n",
+         ["certify", "--log", "{bad}", "--dim", "4", "--alpha", "0.05", "--out", "{out}"]),
         ("task", "source,target\n0,1\n2,q\n",
          ["toy", "eval", "--model", "{ckpt}", "--task", "{bad}", "--out", "{out}"]),
         ("counts", "token_id,count\n0,1\n1,1.5\n",
          ["analyze", "--base", "{ckpt}", "--tuned", "{ckpt}", "--tensor", "embedding",
           "--freq", "{bad}", "--out", "{out}"]),
     ],
-    ids=["scores", "log", "task", "counts"],
+    ids=["scores", "log", "log-p1-below-p2", "log-half-blank-base", "task", "counts"],
 )
 def test_malformed_cell_names_path_and_line(tmp_path, capsys, what, text, argv):
     ckpt = tmp_path / "model.ckpt"
@@ -413,3 +417,43 @@ def test_checkpoint_with_trailing_bytes_exits_two(tmp_path, capsys):
                 "--tensor", "embedding", "--out", str(tmp_path / "s.csv")])
     assert code == 2
     assert "8 trailing payload bytes" in capsys.readouterr().err
+
+
+def test_mixed_blank_log_columns_are_absent(tmp_path, capsys):
+    """A column blank in some rows reads as absent in every row."""
+    def log_file(name, cells):
+        rows = [f"0,{k},1,{1 + k % 2},0.9,0.{k},{cells(k)}" for k in range(6)]
+        (tmp_path / name).write_text("\n".join([LOG_HEADER, *rows]) + "\n")
+        return str(tmp_path / name)
+
+    mixed = log_file("mixed.csv", lambda k: f"{'' if k == 2 else 1},"
+                                            + ("," if k == 4 else "0.8,0.1"))
+    blank = log_file("blank.csv", lambda k: ",,")
+    certify = ["certify", "--dim", "4", "--alpha", "0.05,1.0"]
+    assert run([*certify, "--log", mixed, "--out", str(tmp_path / "m.txt")]) == 0
+    assert run([*certify, "--log", blank, "--out", str(tmp_path / "b.txt")]) == 0
+    report = (tmp_path / "m.txt").read_text()
+    assert report == (tmp_path / "b.txt").read_text()
+    assert "prediction_accuracy=\n" in report and "n_records=6\n" in report
+    code = run([*certify, "--log", mixed, "--prob-source", "base", "--out", str(tmp_path / "x.txt")])
+    assert code == 2
+    assert "record has no base-model probabilities" in capsys.readouterr().err
+
+
+def test_mixed_blank_frequency_column_is_absent(tmp_path, capsys):
+    def scores_file(name, freq):
+        rows = [f"{i},0.{i},0.5,0.9,0.{3 - i},1,0.{i},0.{i},{freq(i)}" for i in range(4)]
+        (tmp_path / name).write_text("\n".join([SCORES_HEADER, *rows]) + "\n")
+        return str(tmp_path / name)
+
+    mixed = scores_file("mixed.csv", lambda i: "" if i == 1 else 7)
+    blank = scores_file("blank.csv", lambda i: "")
+    select = ["select", "--method", "abs", "--top-k", "2"]
+    assert run([*select, "--scores", mixed, "--out", str(tmp_path / "m.txt")]) == 0
+    assert run([*select, "--scores", blank, "--out", str(tmp_path / "b.txt")]) == 0
+    assert (tmp_path / "m.txt").read_text() == (tmp_path / "b.txt").read_text()
+    assert "token_ids=0,1\n" in (tmp_path / "m.txt").read_text()
+    code = run(["select", "--method", "frequency", "--top-k", "1", "--scores", mixed,
+                "--out", str(tmp_path / "f.txt")])
+    assert code == 2
+    assert "frequency ranking requires counts on every score" in capsys.readouterr().err

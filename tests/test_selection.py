@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding
 from kstickets.ksstat import Sample, ks_pvalue_permutation
 from kstickets.selection import (
-    TokenScore,
+    ScoreTable,
     WinningTicketSet,
     analyze_pair,
     compare_ticket_distributions,
@@ -29,6 +30,20 @@ def view_of(matrix):
     matrix = np.asarray(matrix, dtype=np.float32)
     ckpt = Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())])
     return get_embedding(ckpt, "embed")
+
+
+def table(rows):
+    """A ScoreTable from (token_id, ks, p, cos, abs_l2, relative, ratio, kl) rows."""
+    return ScoreTable(*(np.array(col) for col in zip(*rows)))
+
+
+def permuted(scores, order):
+    """The same table with its rows in another order."""
+    return ScoreTable(
+        *(getattr(scores, f)[order] for f in (
+            "token_id", "ks_statistic", "p_value", "cos", "abs_l2", "relative", "ratio", "kl"
+        ))
+    )
 
 
 def shifted_row_fixture(v=8, d=64, hot_row=3, seed=0):
@@ -119,13 +134,13 @@ class TestAnalyzePair:
     def test_identical_matrices(self):
         base, _ = shifted_row_fixture()
         scores = analyze_pair(base, base)
-        assert [s.token_id for s in scores] == list(range(8))
-        assert all(s.ks_statistic == 0.0 and s.p_value == 1.0 for s in scores)
+        assert scores.token_id.tolist() == list(range(8))
+        assert ((scores.ks_statistic == 0.0) & (scores.p_value == 1.0)).all()
 
     def test_single_shifted_row_detected(self):
         base, tuned = shifted_row_fixture(hot_row=3)
         scores = analyze_pair(base, tuned)
-        flagged = [s.token_id for s in scores if s.p_value < 0.05]
+        flagged = scores.token_id[scores.p_value < 0.05].tolist()
         assert flagged == [3]
 
     def test_shifted_row_confirmed_by_permutation_oracle(self):
@@ -172,7 +187,7 @@ class TestSelectByAlpha:
     def test_permutation_invariant(self):
         base, tuned = shifted_row_fixture(hot_row=1)
         scores = analyze_pair(base, tuned)
-        shuffled = [scores[i] for i in [5, 2, 7, 0, 3, 6, 1, 4]]
+        shuffled = permuted(scores, [5, 2, 7, 0, 3, 6, 1, 4])
         assert (
             select_by_alpha(scores, 0.05, 64).token_ids
             == select_by_alpha(shuffled, 0.05, 64).token_ids
@@ -208,18 +223,15 @@ class TestSelectTopK:
             select_top_k(self.scores(), "ks", 9)
 
     def test_ties_broken_by_token_id(self):
-        scores = [
-            TokenScore(i, 0.0, 1.0, 1.0, abs_l2=5.0, relative=0, ratio=0, kl=0)
-            for i in range(4)
-        ]
+        scores = table([(i, 0.0, 1.0, 1.0, 5.0, 0, 0, 0) for i in range(4)])
         assert select_top_k(scores, "abs", 2).token_ids == (0, 1)
 
     def test_cos_ranks_ascending(self):
-        scores = [
-            TokenScore(0, 0, 1, cos=0.9, abs_l2=0, relative=0, ratio=0, kl=0),
-            TokenScore(1, 0, 1, cos=-0.5, abs_l2=0, relative=0, ratio=0, kl=0),
-            TokenScore(2, 0, 1, cos=0.2, abs_l2=0, relative=0, ratio=0, kl=0),
-        ]
+        scores = table([
+            (0, 0, 1, 0.9, 0, 0, 0, 0),
+            (1, 0, 1, -0.5, 0, 0, 0, 0),
+            (2, 0, 1, 0.2, 0, 0, 0, 0),
+        ])
         assert select_top_k(scores, "cos", 1).token_ids == (1,)
 
     def test_matches_alpha_set_on_tie_free_fixture(self):
@@ -235,10 +247,10 @@ class TestSelectTopK:
 
 class TestNormalizedRank:
     def make(self):
-        return [
-            TokenScore(i, 0, 1, cos=1, abs_l2=float(v), relative=0, ratio=0, kl=0)
+        return table([
+            (i, 0, 1, 1, float(v), 0, 0, 0)
             for i, v in enumerate([5.0, 20.0, 1.0, 10.0])
-        ]
+        ])
 
     def test_most_changed(self):
         assert normalized_rank(self.make(), "abs", 1) == pytest.approx(1 / 4)
@@ -337,24 +349,24 @@ class TestWinningTicketSet:
 
     def test_membership(self):
         t = WinningTicketSet(method="ks", vocab_size=8, token_ids=(1, 5))
-        assert 5 in t and 2 not in t and len(t) == 2
+        assert 5 in t.token_ids and 2 not in t.token_ids and len(t) == 2
 
 
 class TestFileFormats:
     def test_scores_csv_round_trip(self, tmp_path):
         base, tuned = shifted_row_fixture()
-        scores = analyze_pair(base, tuned)
-        scores[0].frequency = 17
+        scores = replace(analyze_pair(base, tuned), frequency=np.arange(17, 25))
         path = tmp_path / "scores.csv"
         write_scores_csv(scores, path)
         back = read_scores_csv(path)
         assert len(back) == len(scores)
-        assert back[0].frequency == 17
-        assert back[1].frequency is None
-        for s1, s2 in zip(scores, back):
-            assert s1.token_id == s2.token_id
-            assert s2.ks_statistic == pytest.approx(s1.ks_statistic, rel=1e-8)
-            assert s2.p_value == pytest.approx(s1.p_value, rel=1e-8)
+        assert back.frequency[0] == 17
+        np.testing.assert_array_equal(back.frequency, scores.frequency)
+        write_scores_csv(replace(scores, frequency=None), path)
+        assert read_scores_csv(path).frequency is None
+        assert back.token_id.tolist() == scores.token_id.tolist()
+        np.testing.assert_allclose(back.ks_statistic, scores.ks_statistic, rtol=1e-8)
+        np.testing.assert_allclose(back.p_value, scores.p_value, rtol=1e-8)
 
     def test_scores_header_enforced(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -400,3 +412,58 @@ class TestFileFormats:
         )
         with pytest.raises(ValueError, match="line 6: duplicate key 'token_ids'"):
             read_ticket_file(path)
+
+
+METRIC_OF = {"ks": "ks_statistic", "abs": "abs_l2"}
+
+
+def ranked_oracle(rows, metric):
+    """The scalar ranking: sorted() with (value, token_id) keys, most-changed first."""
+    if metric == "cos":
+        key = lambda r: (r["cos"], r["token_id"])  # noqa: E731
+    else:
+        attr = METRIC_OF.get(metric, metric)
+        key = lambda r: (-r[attr], r["token_id"])  # noqa: E731
+    return [r["token_id"] for r in sorted(rows, key=key)]
+
+
+def tied_table(seed):
+    """A permuted table whose columns draw from a few values, ±0.0 included."""
+    rng = np.random.default_rng(seed)
+    v = int(rng.integers(1, 60))
+    values = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+    columns = {name: rng.choice(values, v) for name in
+               ("ks_statistic", "p_value", "cos", "abs_l2", "relative", "ratio", "kl")}
+    scores = ScoreTable(rng.permutation(v), **columns, frequency=rng.integers(0, 4, v))
+    names = ["token_id", *columns, "frequency"]
+    rows = [dict(zip(names, vals)) for vals in zip(*(getattr(scores, n).tolist() for n in names))]
+    return scores, rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ranking_matches_sorted_oracle(seed):
+    scores, rows = tied_table(seed)
+    v = len(rows)
+    for metric in ("ks", "cos", "abs", "relative", "ratio", "kl", "frequency"):
+        order = ranked_oracle(rows, metric)
+        for k in range(v + 1):
+            assert select_top_k(scores, metric, k).token_ids == tuple(sorted(order[:k]))
+        for pos, token in enumerate(order, start=1):
+            assert normalized_rank(scores, metric, token) == pos / v
+    for alpha in (0.25, 0.5, 1.0):
+        if alpha == 1.0:
+            want = sorted(r["token_id"] for r in rows if r["ks_statistic"] > 0.0)
+        else:
+            want = sorted(r["token_id"] for r in rows if r["p_value"] < alpha)
+        assert select_by_alpha(scores, alpha, 64).token_ids == tuple(want)
+
+
+def test_score_table_requires_each_id_once():
+    columns = [np.zeros(3)] * 7
+    with pytest.raises(ValueError, match="exactly once"):
+        ScoreTable([0, 1, 1], *columns)
+    with pytest.raises(ValueError, match="exactly once"):
+        ScoreTable([1, 2, 3], *columns)
+    with pytest.raises(ValueError, match="shape"):
+        ScoreTable([0, 1, 2], *columns, frequency=[1, 2])
+    assert len(ScoreTable([2, 0, 1], *columns)) == 3

@@ -59,17 +59,30 @@ def test_read_csv_names_path_and_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n3,x\n")
     with pytest.raises(ValueError, match=rf"{path}: bad pairs row at line 3: .*'x'"):
-        read_csv(path, "a,b", lambda c: (int(c[0]), int(c[1])), "pairs")
+        read_csv(path, "a,b", (int, int), "pairs")
 
 
 def test_read_csv_cell_count_comes_from_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2,3\n")
     with pytest.raises(ValueError, match="line 2: 3 cells, expected 2"):
-        read_csv(path, "a,b", tuple, "pairs")
+        read_csv(path, "a,b", (str, str), "pairs")
 
 
 def test_parse_optional():
     assert parse_optional(" ") is None
     assert parse_optional("7") == 7
     assert parse_optional("0.5", float) == 0.5
+
+
+def test_read_csv_returns_columns_and_names_the_first_bad_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n3,4\n")
+    assert read_csv(path, "a,b", (int, float), "pairs") == [[1, 3], [2.0, 4.0]]
+    path.write_text("a,b\n")
+    assert read_csv(path, "a,b", (int, int), "pairs") == [[], []]
+    for text, line in (("a,b\n1,2\n3\n5,x\n", 3), ("a,b\n1,2\n5,x\n3\n", 3),
+                       ("a,b\nx,2\n1,2,3\n", 2), ("a,b\n1,2\n\n", 3)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path}: bad pairs row at line {line}: "):
+            read_csv(path, "a,b", (int, int), "pairs")

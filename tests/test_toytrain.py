@@ -7,6 +7,7 @@ from kstickets.toytrain import (
     SyntheticTask,
     ToyModel,
     TrainConfig,
+    _top2,
     emit_prediction_log,
     evaluate,
     forward,
@@ -53,7 +54,7 @@ class TestGenerateTask:
     def test_single_pair(self):
         task = generate_task(11, 16, 1, 1.0)
         assert task.n_pairs == 1
-        s, t = task.pairs[0]
+        s, t = task.sources[0], task.targets[0]
         assert task.mapping[s] == t
 
     def test_vocab_domain(self):
@@ -199,31 +200,64 @@ class TestPredictionLog:
     def test_identical_models_agree(self):
         task, model = small_setup()
         records = emit_prediction_log(model, model, model, task)
-        assert all(r.tuned_prediction == r.partial_prediction for r in records)
+        assert (records.tuned_prediction == records.partial_prediction).all()
 
     def test_p1_ge_p2(self):
         task, model = small_setup()
         records = emit_prediction_log(model, None, None, task)
-        assert all(r.p1 >= r.p2 for r in records)
+        assert (records.p1 >= records.p2).all()
 
     def test_record_count_and_grouping(self):
         task, model = small_setup(n_pairs=45)
         records = emit_prediction_log(model, None, None, task)
         assert len(records) == 45
-        assert records[0].example_id == 0 and records[0].position == 0
-        assert records[EXAMPLE_GROUP].example_id == 1
-        assert records[44].position == 44 % EXAMPLE_GROUP
+        assert records.example_id[0] == 0 and records.position[0] == 0
+        assert records.example_id[EXAMPLE_GROUP] == 1
+        assert records.position[44] == 44 % EXAMPLE_GROUP
 
     def test_base_probs_attached(self):
         task, model = small_setup()
         base = init_model(9, 32, 8)
         records = emit_prediction_log(model, None, base, task)
-        assert all(r.base_p1 is not None and r.base_p1 >= r.base_p2 for r in records)
+        assert records.base_p1 is not None and (records.base_p1 >= records.base_p2).all()
 
     def test_shape_mismatch(self):
         task, model = small_setup()
         with pytest.raises(ValueError, match="shape mismatch"):
             emit_prediction_log(model, init_model(0, 32, 4), None, task)
+
+    def test_columns_match_the_models(self):
+        task, model = small_setup(n_pairs=45)
+        partial, base = init_model(3, 32, 8), init_model(9, 32, 8)
+        log = emit_prediction_log(model, partial, base, task)
+        probs = np.stack([forward(model, s) for s in task.sources.tolist()])
+        np.testing.assert_array_equal(log.reference_token, task.targets)
+        np.testing.assert_array_equal(log.tuned_prediction, probs.argmax(axis=1))
+        np.testing.assert_allclose(log.p1, probs.max(axis=1), rtol=1e-12)
+        base_probs = np.stack([forward(base, s) for s in task.sources.tolist()])
+        np.testing.assert_allclose(log.base_p1, base_probs.max(axis=1), rtol=1e-12)
+
+
+def top2_oracle(probs):
+    """The stable-argsort top-2 that _top2 replaces: its bit-for-bit oracle."""
+    order = np.argsort(-probs, axis=1, kind="stable")
+    rows = np.arange(probs.shape[0])
+    top = order[:, 0]
+    return top, probs[rows, top], probs[rows, order[:, 1]]
+
+
+def test_top2_matches_argsort_oracle():
+    rng = np.random.default_rng(5)
+    for trial in range(2000):
+        n, v = int(rng.integers(1, 30)), int(rng.integers(2, 12))
+        if trial % 4 == 3:
+            probs = rng.random((n, v))
+        else:  # few distinct values: tied maxima, tied runners-up, zero rows
+            probs = rng.integers(0, 1 + trial % 4, size=(n, v)) / 4.0
+        want = top2_oracle(probs)
+        got = _top2(probs.copy())
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestGradCheck:
