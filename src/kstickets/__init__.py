@@ -62,6 +62,6 @@ from .toytrain import (
     init_model,
     train,
 )
-from .transfer import RowMask, diff_rows, emit_mask, splice_partial_transfer
+from .transfer import diff_rows, emit_mask, splice_partial_transfer
 
 __version__ = "0.1.0"

@@ -80,8 +80,20 @@ def _write_counts_csv(counts: np.ndarray, path, top_k: int | None) -> None:
 
 def _read_counts_csv(path, vocab_size: int) -> np.ndarray:
     """The count of every id 0..V-1: 0 when not listed, the last line's when repeated."""
-    by_id = dict(zip(*read_csv(path, COUNTS_HEADER, (int, int), "counts")))
-    return np.array([by_id.get(i, 0) for i in range(vocab_size)], dtype=np.int64)
+    def token_id(cell):
+        if not 0 <= (i := int(cell)) < vocab_size:
+            raise ValueError(f"token id {i} outside [0, {vocab_size})")
+        return i
+
+    def count(cell):
+        if (c := int(cell)) < 0:
+            raise ValueError(f"negative count {c}")
+        return c
+
+    by_id = dict(zip(*read_csv(path, COUNTS_HEADER, (token_id, count), "counts")))
+    counts = np.zeros(vocab_size, dtype=np.int64)
+    counts[list(by_id)] = list(by_id.values())
+    return counts
 
 
 def _read_corpus(path) -> list[int]:

@@ -16,6 +16,7 @@ from ._text import column_lines, read_csv, write_csv
 from .certify import PredictionLog
 from .checkpoint import Checkpoint, TensorRecord
 from .selection import WinningTicketSet
+from .transfer import emit_mask
 
 __all__ = [
     "ToyModel",
@@ -165,37 +166,39 @@ def init_model(seed: int, vocab_size: int, dim: int) -> ToyModel:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place: logits is always a fresh temporary."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
+def _batch_probs(model: ToyModel, sources) -> np.ndarray:
+    w64 = model.output_weights.astype(np.float64)
+    return _softmax(model.embedding[sources].astype(np.float64) @ w64.T)
 
 
 def forward(model: ToyModel, source_token: int) -> np.ndarray:
     """Next-token probability vector for one source token."""
     if not 0 <= source_token < model.vocab_size:
-        raise ValueError(
-            f"token {source_token} out of range [0, {model.vocab_size})"
-        )
-    logits = model.output_weights.astype(np.float64) @ model.embedding[
-        source_token
-    ].astype(np.float64)
-    return _softmax(logits)
+        raise ValueError(f"token {source_token} out of range [0, {model.vocab_size})")
+    return _batch_probs(model, [source_token])[0]
 
 
-def _batch_probs(model: ToyModel, sources: np.ndarray) -> np.ndarray:
-    emb = model.embedding.astype(np.float64)
-    w = model.output_weights.astype(np.float64)
-    return _softmax(emb[sources] @ w.T)
+def _grad(probs, src, tgt, w64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy gradient of a batch: (delta, rows, grad).
 
-
-def _trainable_rows(mode: str, tickets: WinningTicketSet | None, v: int) -> np.ndarray:
-    if mode in ("full", "embed"):
-        return np.arange(v)
-    selected = np.zeros(v, dtype=bool)
-    selected[list(tickets.token_ids)] = True
-    if mode == "frozen_complement":
-        selected = ~selected
-    return np.flatnonzero(selected)
+    delta is probs minus the one-hot targets over the batch size (probs is
+    overwritten); rows are the unique source rows the batch reads and grad[k]
+    is row rows[k]'s gradient, summed in batch order.
+    """
+    delta = probs
+    delta[np.arange(src.size), tgt] -= 1.0
+    delta /= src.size
+    rows, inverse = np.unique(src, return_inverse=True)
+    grad = np.zeros((rows.size, w64.shape[1]))
+    np.add.at(grad, inverse, delta @ w64)
+    return delta, rows, grad
 
 
 def train(
@@ -203,9 +206,10 @@ def train(
 ) -> tuple[ToyModel, list[float]]:
     """Seeded minibatch SGD on cross-entropy; returns (tuned model, loss curve).
 
-    The mode's gradient mask is exact: rows outside the trainable set are never
-    written, so they stay bit-identical to the input model. Output weights
-    update only in full mode.
+    The trainable set is `emit_mask` of the tickets (complemented in
+    frozen_complement mode), or every row in full and embed mode. A step
+    writes only the trainable rows its batch reads, so every other row stays
+    bit-identical to the input model. Output weights update only in full mode.
     """
     if task.vocab_size != model.vocab_size:
         raise ValueError(
@@ -219,9 +223,10 @@ def train(
 
     emb = model.embedding.copy()
     out = model.output_weights.copy()
-    v, d = emb.shape
-    rows = _trainable_rows(config.mode, config.tickets, v)
-    update_out = config.mode == "full"
+    w64 = out.astype(np.float64)
+    trainable = np.ones(model.vocab_size, dtype=bool)
+    if config.mode in ("partial", "frozen_complement"):
+        trainable = emit_mask(config.tickets, config.mode == "frozen_complement")
     lr = config.learning_rate
 
     rng = np.random.default_rng(config.seed)
@@ -235,21 +240,15 @@ def train(
             src = task.sources[batch]
             tgt = task.targets[batch]
             e64 = emb[src].astype(np.float64)
-            w64 = out.astype(np.float64)
             probs = _softmax(e64 @ w64.T)
-            picked = probs[np.arange(batch.size), tgt]
-            epoch_loss += float(-np.log(picked).sum())
-
-            delta = probs
-            delta[np.arange(batch.size), tgt] -= 1.0
-            delta /= batch.size
-            grad_emb = np.zeros((v, d))
-            np.add.at(grad_emb, src, delta @ w64)
-            if update_out:
+            epoch_loss += float(-np.log(probs[np.arange(batch.size), tgt]).sum())
+            delta, rows, grad = _grad(probs, src, tgt, w64)
+            if config.mode == "full":
                 out = (w64 - lr * (delta.T @ e64)).astype(np.float32)
-            emb[rows] = (emb[rows].astype(np.float64) - lr * grad_emb[rows]).astype(
-                np.float32
-            )
+                w64 = out.astype(np.float64)
+            keep = trainable[rows]
+            rows = rows[keep]
+            emb[rows] = (emb[rows].astype(np.float64) - lr * grad[keep]).astype(np.float32)
         losses.append(epoch_loss / n)
     return ToyModel(emb, out), losses
 
@@ -321,13 +320,9 @@ def grad_check(model: ToyModel, task: SyntheticTask, epsilon: float = 1e-4) -> f
     w64 = model.output_weights.astype(np.float64)
     emb64 = model.embedding.astype(np.float64)
     v, d = emb64.shape
-
-    probs = _softmax(emb64[src] @ w64.T)
-    delta = probs
-    delta[np.arange(b), tgt] -= 1.0
-    delta /= b
+    _, rows, grad = _grad(_softmax(emb64[src] @ w64.T), src, tgt, w64)
     analytic = np.zeros((v, d))
-    np.add.at(analytic, src, delta @ w64)
+    analytic[rows] = grad
 
     def loss_at(e: np.ndarray) -> float:
         p = _softmax(e[src] @ w64.T)
@@ -338,14 +333,15 @@ def grad_check(model: ToyModel, task: SyntheticTask, epsilon: float = 1e-4) -> f
         flat_indices = np.arange(total)
     else:
         flat_indices = np.linspace(0, total - 1, 512).astype(np.int64)
+    e = emb64.copy()
     worst = 0.0
     for flat in flat_indices:
         i, j = divmod(int(flat), d)
-        e = emb64.copy()
         e[i, j] += epsilon
         lp = loss_at(e)
         e[i, j] -= 2.0 * epsilon
         lm = loss_at(e)
+        e[i, j] = emb64[i, j]
         fd = (lp - lm) / (2.0 * epsilon)
         ga = analytic[i, j]
         err = abs(ga - fd) / max(1e-8, abs(ga) + abs(fd))

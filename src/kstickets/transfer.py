@@ -6,8 +6,6 @@ oracle below can verify it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._text import write_text
@@ -15,28 +13,11 @@ from .checkpoint import Checkpoint, TensorRecord, validate_pair
 from .selection import WinningTicketSet
 
 __all__ = [
-    "RowMask",
     "splice_partial_transfer",
     "emit_mask",
     "diff_rows",
     "write_mask_file",
 ]
-
-
-@dataclass
-class RowMask:
-    """Per-row trainability flags for an embedding matrix."""
-
-    vocab_size: int
-    trainable: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.trainable, dtype=bool).ravel()
-        if arr.size != self.vocab_size:
-            raise ValueError(
-                f"mask length {arr.size} does not match vocab_size {self.vocab_size}"
-            )
-        self.trainable = arr
 
 
 def splice_partial_transfer(
@@ -65,13 +46,11 @@ def splice_partial_transfer(
     return Checkpoint(out, format_version=base.format_version)
 
 
-def emit_mask(tickets: WinningTicketSet, complement: bool = False) -> RowMask:
-    """trainable[i] = (i in tickets) XOR complement."""
-    trainable = np.zeros(tickets.vocab_size, dtype=bool)
-    trainable[list(tickets.token_ids)] = True
-    if complement:
-        trainable = ~trainable
-    return RowMask(tickets.vocab_size, trainable)
+def emit_mask(tickets: WinningTicketSet, complement: bool = False) -> np.ndarray:
+    """Per-row trainability flags: trainable[i] = (i in tickets) XOR complement."""
+    trainable = np.full(tickets.vocab_size, complement, dtype=bool)
+    trainable[list(tickets.token_ids)] = not complement
+    return trainable
 
 
 def diff_rows(a: Checkpoint, b: Checkpoint, tensor_name: str) -> set[int]:
@@ -88,6 +67,6 @@ def diff_rows(a: Checkpoint, b: Checkpoint, tensor_name: str) -> set[int]:
     return set(np.flatnonzero((av != bv).any(axis=1)).tolist())
 
 
-def write_mask_file(mask: RowMask, path) -> None:
+def write_mask_file(trainable: np.ndarray, path) -> None:
     """One line per row: 1 if trainable, 0 if frozen."""
-    write_text(path, "".join("1\n" if t else "0\n" for t in mask.trainable))
+    write_text(path, "".join("1\n" if t else "0\n" for t in trainable))

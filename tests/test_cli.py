@@ -398,6 +398,36 @@ def test_malformed_cell_names_path_and_line(tmp_path, capsys, what, text, argv):
 
 
 @pytest.mark.parametrize(
+    "row, reason",
+    [("99,7", "token id 99 outside [0, 4)"), ("-3,2", "token id -3 outside [0, 4)"),
+     ("2,-1", "negative count -1")],
+    ids=["id-above-vocab", "negative-id", "negative-count"],
+)
+def test_counts_row_outside_vocab_exits_two(tmp_path, capsys, row, reason):
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    counts = tmp_path / "counts.csv"
+    counts.write_text(f"token_id,count\n0,1\n{row}\n")
+    out = tmp_path / "scores.csv"
+    code = run(["analyze", "--base", str(ckpt), "--tuned", str(ckpt), "--tensor", "embedding",
+                "--freq", str(counts), "--out", str(out)])
+    assert code == 2
+    assert f"{counts}: bad counts row at line 3: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_counts_repeated_id_keeps_last_line(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    counts = tmp_path / "counts.csv"
+    counts.write_text("token_id,count\n2,5\n0,1\n2,9\n")
+    out = tmp_path / "scores.csv"
+    assert run(["analyze", "--base", str(ckpt), "--tuned", str(ckpt), "--tensor", "embedding",
+                "--freq", str(counts), "--out", str(out)]) == 0
+    assert read_scores_csv(out).frequency.tolist() == [1, 0, 9, 0]
+
+
+@pytest.mark.parametrize(
     "extra", ["garbage\n", "token_ids=3\n"], ids=["no-equals", "repeated-key"]
 )
 def test_malformed_ticket_file_exits_two(tmp_path, capsys, extra):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,19 @@ class TestPredictionLog:
         np.testing.assert_allclose(log.base_p1, base_probs.max(axis=1), rtol=1e-12)
 
 
+def test_prediction_log_peak_is_one_probability_matrix():
+    """The softmax works in place: a log of three models peaks near one n x V float64 matrix."""
+    task, models = generate_task(6, 4096, 1000, 1.5), [init_model(s, 4096, 64) for s in (1, 2, 3)]
+    tracemalloc.start()
+    try:
+        log = emit_prediction_log(*models, task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 1000
+    assert peak <= 1.5 * task.n_pairs * 4096 * 8
+
+
 def top2_oracle(probs):
     """The stable-argsort top-2 that _top2 replaces: its bit-for-bit oracle."""
     order = np.argsort(-probs, axis=1, kind="stable")
@@ -260,6 +275,159 @@ def test_top2_matches_argsort_oracle():
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+def _softmax_oracle(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def dense_train_oracle(model, task, config):
+    """The dense-gradient training loop that train replaces: its bit-for-bit oracle.
+
+    Every step builds a [V, d] gradient and rewrites every trainable row.
+    """
+    emb = model.embedding.copy()
+    out = model.output_weights.copy()
+    v, d = emb.shape
+    selected = np.zeros(v, dtype=bool)
+    if config.mode in ("full", "embed"):
+        selected[:] = True
+    else:
+        selected[list(config.tickets.token_ids)] = True
+        if config.mode == "frozen_complement":
+            selected = ~selected
+    rows = np.flatnonzero(selected)
+    lr = config.learning_rate
+    rng = np.random.default_rng(config.seed)
+    n = task.n_pairs
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            src = task.sources[batch]
+            tgt = task.targets[batch]
+            e64 = emb[src].astype(np.float64)
+            w64 = out.astype(np.float64)
+            probs = _softmax_oracle(e64 @ w64.T)
+            picked = probs[np.arange(batch.size), tgt]
+            epoch_loss += float(-np.log(picked).sum())
+            delta = probs
+            delta[np.arange(batch.size), tgt] -= 1.0
+            delta /= batch.size
+            grad_emb = np.zeros((v, d))
+            np.add.at(grad_emb, src, delta @ w64)
+            if config.mode == "full":
+                out = (w64 - lr * (delta.T @ e64)).astype(np.float32)
+            emb[rows] = (emb[rows].astype(np.float64) - lr * grad_emb[rows]).astype(np.float32)
+        losses.append(epoch_loss / n)
+    return ToyModel(emb, out), losses
+
+
+def assert_same_training(model, task, config):
+    want_model, want_losses = dense_train_oracle(model, task, config)
+    got_model, got_losses = train(model, task, config)
+    assert got_model.embedding.tobytes() == want_model.embedding.tobytes()
+    assert got_model.output_weights.tobytes() == want_model.output_weights.tobytes()
+    assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes()
+
+
+def oracle_tickets(seed, v):
+    ids = np.random.default_rng(seed).choice(v, size=max(1, v // 3), replace=False)
+    return WinningTicketSet(method="ks", vocab_size=v, token_ids=tuple(sorted(ids.tolist())))
+
+
+@pytest.mark.parametrize("v", [4, 32, 300])
+@pytest.mark.parametrize("mode", ["full", "embed", "partial", "frozen_complement"])
+def test_train_matches_dense_oracle(mode, v):
+    for seed in (1, 2, 3):
+        task, model = generate_task(seed, v, 50, 1.2), init_model(seed, v, 6)
+        tickets = oracle_tickets(seed, v)
+        for batch_size in (1, 7, 32):
+            config = TrainConfig(mode=mode, tickets=tickets, learning_rate=0.5,
+                                 epochs=2, seed=seed, batch_size=batch_size)
+            assert_same_training(model, task, config)
+
+
+@pytest.mark.parametrize("mode", ["full", "embed", "partial", "frozen_complement"])
+def test_train_matches_dense_oracle_on_repeated_sources(mode):
+    # every batch reads row 3 several times, so its gradient sums many terms
+    sources = np.array([3, 3, 1, 3, 0, 3, 3, 2, 3, 1] * 5)
+    task = SyntheticTask(vocab_size=8, sources=sources, targets=(sources * 3 + 1) % 8)
+    model = init_model(4, 8, 5)
+    tickets = WinningTicketSet(method="ks", vocab_size=8, token_ids=(1, 3))
+    for batch_size in (1, 7, 32):
+        assert_same_training(model, task, TrainConfig(
+            mode=mode, tickets=tickets, epochs=3, seed=9, batch_size=batch_size))
+
+
+@pytest.mark.parametrize("covered", [False, True], ids=["empty", "every-row"])
+@pytest.mark.parametrize("mode", ["partial", "frozen_complement"])
+def test_train_matches_dense_oracle_on_edge_ticket_sets(mode, covered):
+    task, model = small_setup(seed=2)
+    ids = tuple(range(32)) if covered else ()
+    tickets = WinningTicketSet(method="ks", vocab_size=32, token_ids=ids)
+    assert_same_training(model, task, TrainConfig(mode=mode, tickets=tickets, epochs=2, batch_size=7))
+    trained = mode == "partial" and covered or mode == "frozen_complement" and not covered
+    tuned, _ = train(model, task, TrainConfig(mode=mode, tickets=tickets, epochs=2))
+    assert (tuned.embedding.tobytes() != model.embedding.tobytes()) == trained
+
+
+def grad_check_oracle(model, task, epsilon=1e-4):
+    """grad_check with its own dense gradient and a fresh copy per probe: its oracle."""
+    b = min(32, task.n_pairs)
+    src = task.sources[:b]
+    tgt = task.targets[:b]
+    w64 = model.output_weights.astype(np.float64)
+    emb64 = model.embedding.astype(np.float64)
+    v, d = emb64.shape
+    probs = _softmax_oracle(emb64[src] @ w64.T)
+    delta = probs
+    delta[np.arange(b), tgt] -= 1.0
+    delta /= b
+    analytic = np.zeros((v, d))
+    np.add.at(analytic, src, delta @ w64)
+
+    def loss_at(e):
+        p = _softmax_oracle(e[src] @ w64.T)
+        return float(-np.log(p[np.arange(b), tgt]).mean())
+
+    total = v * d
+    if total <= 512:
+        flat_indices = np.arange(total)
+    else:
+        flat_indices = np.linspace(0, total - 1, 512).astype(np.int64)
+    worst = 0.0
+    for flat in flat_indices:
+        i, j = divmod(int(flat), d)
+        e = emb64.copy()
+        e[i, j] += epsilon
+        lp = loss_at(e)
+        e[i, j] -= 2.0 * epsilon
+        lm = loss_at(e)
+        fd = (lp - lm) / (2.0 * epsilon)
+        ga = analytic[i, j]
+        err = abs(ga - fd) / max(1e-8, abs(ga) + abs(fd))
+        worst = max(worst, err)
+    return worst
+
+
+ZERO_FD_TASK = SyntheticTask(
+    vocab_size=16, sources=np.zeros(8, dtype=np.int64), targets=np.ones(8, dtype=np.int64)
+)
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: small_setup(v=16, d=8, n_pairs=64),  # every entry probed
+    lambda: (ZERO_FD_TASK, init_model(3, 16, 8)),  # one source row
+    lambda: small_setup(seed=4, v=300, d=12, n_pairs=100),  # 512 strided probes
+], ids=["swept", "one-row", "strided"])
+def test_grad_check_matches_oracle(setup):
+    task, model = setup()
+    assert grad_check(model, task) == grad_check_oracle(model, task)
+
+
 class TestGradCheck:
     def test_small_model_accurate(self):
         task, model = small_setup(v=16, d=8, n_pairs=64)
@@ -268,13 +436,8 @@ class TestGradCheck:
     def test_untouched_rows_have_zero_fd(self):
         # rows absent from the probe batch get exactly zero analytic gradient;
         # the relative-error guard keeps them from dominating
-        task = SyntheticTask(
-            vocab_size=16,
-            sources=np.zeros(8, dtype=np.int64),
-            targets=np.ones(8, dtype=np.int64),
-        )
         model = init_model(3, 16, 8)
-        assert grad_check(model, task) < 1e-3
+        assert grad_check(model, ZERO_FD_TASK) < 1e-3
 
     def test_deterministic(self):
         task, model = small_setup(v=16, d=8, n_pairs=64)

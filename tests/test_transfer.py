@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kstickets.checkpoint import Checkpoint, TensorRecord
 from kstickets.selection import WinningTicketSet
 from kstickets.transfer import (
-    RowMask,
     diff_rows,
     emit_mask,
     splice_partial_transfer,
@@ -106,24 +105,20 @@ class TestSplice:
 class TestEmitMask:
     def test_plain(self):
         mask = emit_mask(tickets_of([0, 2]))
-        assert mask.trainable.tolist() == [True, False, True, False]
+        assert mask.dtype == bool and mask.tolist() == [True, False, True, False]
 
     def test_complement(self):
         mask = emit_mask(tickets_of([0, 2]), complement=True)
-        assert mask.trainable.tolist() == [False, True, False, True]
+        assert mask.tolist() == [False, True, False, True]
 
     def test_empty_complement_all_trainable(self):
         mask = emit_mask(tickets_of([]), complement=True)
-        assert mask.trainable.all()
+        assert mask.all()
 
     def test_mask_file(self, tmp_path):
         path = tmp_path / "mask.txt"
         write_mask_file(emit_mask(tickets_of([1, 3])), path)
         assert path.read_text() == "0\n1\n0\n1\n"
-
-    def test_row_mask_length_checked(self):
-        with pytest.raises(ValueError, match="length"):
-            RowMask(vocab_size=3, trainable=np.array([True]))
 
 
 class TestDiffRows:
