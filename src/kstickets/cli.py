@@ -96,11 +96,12 @@ def _read_counts_csv(path, vocab_size: int) -> np.ndarray:
     return counts
 
 
-def _read_corpus(path) -> list[int]:
+def _read_corpus(path) -> np.ndarray:
+    """Whitespace-separated ids; an id beyond int64 raises OverflowError (exit 2)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split()
+        tokens = fh.read().split()
     try:
-        return [int(tok) for tok in lines]
+        return np.array(tokens, dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"{path}: corpus must contain integer token ids") from exc
 

@@ -10,6 +10,7 @@ from kstickets.ksstat import (
     ks_pvalue_asymptotic,
     ks_pvalue_permutation,
     ks_statistic,
+    ks_statistic_rows,
     ks_tau,
     ks_two_sample_test,
     tau_from_pvalue_inversion,
@@ -102,6 +103,42 @@ class TestKsStatistic:
         a2 = Sample(scale * a.values + shift)
         b2 = Sample(scale * b.values + shift)
         assert ks_statistic(a2, b2) == ks_statistic(a, b)
+
+
+class TestKsStatisticRows:
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 5), (64, 64), (7, 768)])
+    def test_matches_ks_statistic_bytes(self, n, m):
+        # quantised values force long tie runs across and within the halves;
+        # -0.0 and 0.0 are one value to both implementations
+        rng = np.random.default_rng(n * 1000 + m)
+        levels = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 3.0])
+        a = rng.choice(levels, (40, n))
+        b = rng.choice(levels, (40, m))
+        a[:5] = rng.normal(size=(5, n))
+        b[5:10] = rng.normal(size=(5, m))
+        got = ks_statistic_rows(a, b)
+        want = np.array([ks_statistic(Sample(x), Sample(y)) for x, y in zip(a, b)])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @given(
+        st.integers(1, 11),
+        st.lists(st.lists(st.integers(-3, 3), min_size=12, max_size=12), min_size=1, max_size=6),
+    )
+    def test_matches_ks_statistic_on_small_integers(self, n, rows):
+        # each row splits into halves of n and 12 - n values
+        values = np.array(rows, dtype=float)
+        a, b = values[:, :n], values[:, n:]
+        got = ks_statistic_rows(a, b)
+        assert got.tolist() == [ks_statistic(Sample(x), Sample(y)) for x, y in zip(a, b)]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            ks_statistic_rows([[0.0, np.inf]], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="empty"):
+            ks_statistic_rows(np.zeros((2, 0)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            ks_statistic_rows(np.zeros((2, 3)), np.zeros((3, 3)))
+        assert ks_statistic_rows(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
 
 
 class TestCriticalValue:

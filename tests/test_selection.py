@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding
-from kstickets.ksstat import Sample, ks_pvalue_permutation
+from kstickets.ksstat import Sample, ks_pvalue_permutation, ks_two_sample_test
 from kstickets.selection import (
+    _CHUNK_ELEMENTS,
+    METRICS,
+    _histogram_kl,
+    _histogram_kl_rows,
     ScoreTable,
     WinningTicketSet,
     analyze_pair,
@@ -467,3 +472,171 @@ def test_score_table_requires_each_id_once():
     with pytest.raises(ValueError, match="shape"):
         ScoreTable([0, 1, 2], *columns, frequency=[1, 2])
     assert len(ScoreTable([2, 0, 1], *columns)) == 3
+
+
+def assert_matches_score_row(base, tuned, pairs=None):
+    """Every analyze_pair column equals score_row's value by bytes.
+
+    Row i of base/tuned is pairs[i] of a smaller pool of row pairs when given,
+    so score_row runs once per distinct pair.
+    """
+    base = np.asarray(base, dtype=np.float32)
+    tuned = np.asarray(tuned, dtype=np.float32)
+    scores = analyze_pair(view_of(base), view_of(tuned))
+    if pairs is None:
+        pairs = np.arange(len(base))
+    first = {p: i for i, p in reversed(list(enumerate(pairs.tolist())))}
+    oracle = {p: score_row(base[i], tuned[i]) for p, i in first.items()}
+    assert scores.token_id.tolist() == list(range(len(base)))
+    for name in METRICS:
+        want = np.array([getattr(oracle[p], name) for p in pairs.tolist()])
+        got = getattr(scores, name)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+
+def edge_row_pairs(d, seed=0):
+    """(base, tuned) float32 row pairs of width d that stress every metric."""
+    rng = np.random.default_rng(seed + d)
+    b = rng.normal(0.0, 0.05, d)
+    pairs = [
+        (b, b + rng.normal(0.0, 0.002, d)),  # small drift
+        (b, b),  # bit-identical
+        (b, rng.permutation(b)),  # same multiset: KS 0, other metrics move
+        (b, b + 10.0 * b.std()),  # shifted past every base value
+        (rng.integers(-3, 4, d), rng.integers(-3, 4, d)),  # ties within and across
+        (np.round(b, 1), np.round(b + 0.03, 1)),  # quantised
+        (np.zeros(d), np.zeros(d)),  # all zero
+        (np.zeros(d), np.ones(d)),  # only base zero
+        (rng.normal(size=d), np.zeros(d)),  # only tuned zero
+        (np.full(d, 0.5), np.full(d, 0.5)),  # constant, one shared bin
+        (np.full(d, 0.5), np.full(d, -2.0)),  # two constants
+        (np.full(d, 1e-30), b),  # base far below the division floor
+        (np.where(np.arange(d) % 2, 1e-30, -1e-30), np.full(d, 1e-8)),
+        (np.full(d, 1e-8), np.full(d, -1e-8)),  # at the division floor
+        (np.append(np.zeros(d - 1), 1e6), np.append(np.zeros(d - 1), -1e6)),  # outliers
+    ]
+    signed = rng.integers(-1, 2, d).astype(float)
+    flipped = np.where(signed == 0, -0.0, signed)
+    pairs += [(signed, flipped), (flipped, signed)]  # +0.0 against -0.0
+    return [(np.asarray(x, dtype=np.float32), np.asarray(y, dtype=np.float32)) for x, y in pairs]
+
+
+def tiled(d, v, seed=0):
+    """A v-row matrix pair drawn from edge_row_pairs(d), plus each row's pair index."""
+    pool = edge_row_pairs(d, seed)
+    rng = np.random.default_rng(seed)
+    pairs = np.arange(v) % len(pool)
+    rng.shuffle(pairs)
+    base = np.stack([pool[p][0] for p in pairs])
+    tuned = np.stack([pool[p][1] for p in pairs])
+    return base, tuned, pairs
+
+
+def chunk_rows(d):
+    return max(1, _CHUNK_ELEMENTS // d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
+@pytest.mark.parametrize("v_of", [
+    lambda r: 1, lambda r: r - 1, lambda r: r, lambda r: r + 1, lambda r: 3 * r + 2,
+], ids=["one-row", "chunk-minus-1", "one-chunk", "chunk-plus-1", "several-chunks"])
+def test_analyze_pair_matches_score_row_oracle(d, v_of):
+    base, tuned, pairs = tiled(d, v_of(chunk_rows(d)))
+    assert_matches_score_row(base, tuned, pairs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
+def test_analyze_pair_matches_score_row_on_random_rows(d):
+    # every row distinct: drifted, quantised and permuted rows interleaved
+    rng = np.random.default_rng(d)
+    v = min(chunk_rows(d) + 3, 150)
+    base = rng.normal(0.0, 0.05, (v, d))
+    tuned = base + rng.normal(0.0, 0.002, (v, d))
+    tuned[::3] = np.round(tuned[::3], 2)
+    tuned[1::3] = rng.permuted(base[1::3], axis=1)
+    assert_matches_score_row(base, tuned)
+
+
+def test_kl_rows_match_histogram_on_bin_edges():
+    # float64 rows holding each of their own bin edges, or its neighbouring
+    # floats: x == e[k] must land in bin k (the last edge in the last bin)
+    # however the step rounds
+    rng = np.random.default_rng(5)
+    lo = rng.normal(0.0, 10.0, 300)
+    hi = lo + rng.lognormal(0.0, 3.0, 300)
+    t = np.stack([np.linspace(a, z, 65) for a, z in zip(lo, hi)])
+    b = lo[:, None] + (hi - lo)[:, None] * rng.random((300, 65))
+    b[::4] = t[::4, ::-1]
+    b[1::4, ::3] = t[1::4, 1::3]
+    b[2::4, 1:] = np.nextafter(t[2::4, 1:], -np.inf)  # just below each edge
+    b[3::4, :-1] = np.nextafter(t[3::4, :-1], np.inf)  # just above
+    got = _histogram_kl_rows(t, b)
+    want = np.array([_histogram_kl(x, y) for x, y in zip(t, b)])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@given(st.integers(2, 9).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-4, 4), min_size=2 * d, max_size=2 * d), min_size=1, max_size=6,
+)))
+def test_analyze_pair_matches_score_row_on_small_integers(rows):
+    values = np.array(rows, dtype=float)
+    d = values.shape[1] // 2
+    assert_matches_score_row(values[:, :d], values[:, d:])
+
+
+def test_analyze_pair_keeps_score_row_errors():
+    with pytest.raises(ValueError, match="at least 2"):
+        analyze_pair(view_of(np.zeros((3, 1))), view_of(np.zeros((3, 1))))
+    for bad in (np.inf, -np.inf, np.nan):
+        tuned = np.zeros((chunk_rows(4) + 5, 4))
+        tuned[-1, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            analyze_pair(view_of(np.zeros_like(tuned)), view_of(tuned))
+        with pytest.raises(ValueError, match="must be finite"):
+            analyze_pair(view_of(tuned), view_of(np.zeros_like(tuned)))
+
+
+def test_analyze_pair_peak_stays_below_one_float64_matrix():
+    # scoring works block by block: a whole-matrix float64 cast alone would
+    # reach the bound
+    v, d = 32000, 64
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((v, d), dtype=np.float32)
+    tuned = base + np.float32(0.01) * rng.standard_normal((v, d), dtype=np.float32)
+    views = view_of(base), view_of(tuned)
+    tracemalloc.start()
+    try:
+        analyze_pair(*views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v * d * 8
+
+
+def compare_oracle(tuned_a, tuned_b, tickets, alpha):
+    """compare_ticket_distributions as a per-ticket ks_two_sample_test loop."""
+    if not tickets.token_ids:
+        return 1.0
+    rejected = sum(
+        ks_two_sample_test(Sample(tuned_a.matrix[i]), Sample(tuned_b.matrix[i]), alpha).reject
+        for i in tickets.token_ids
+    )
+    return 1.0 - rejected / len(tickets.token_ids)
+
+
+@pytest.mark.parametrize("d", [2, 16, 768])
+def test_compare_ticket_distributions_matches_per_ticket_oracle(d):
+    rng = np.random.default_rng(d)
+    v = min(3 * chunk_rows(d) // 2, 90)  # two blocks at d=768
+    a = rng.integers(-3, 4, (v, d)).astype(float)
+    b = a + rng.integers(-1, 2, (v, d)) * (rng.random((v, 1)) < 0.5)
+    a, b = view_of(a), view_of(b)
+    for size in (1, v // 3, v):
+        ids = tuple(np.sort(rng.choice(v, size, replace=False)).tolist())
+        tickets = WinningTicketSet(method="ks", vocab_size=v, token_ids=ids)
+        for alpha in (1e-6, 0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.999999):
+            want = compare_oracle(a, b, tickets, alpha)
+            assert compare_ticket_distributions(a, b, tickets, alpha) == want
+    for alpha in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            compare_ticket_distributions(a, b, tickets, alpha)
