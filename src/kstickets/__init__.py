@@ -28,7 +28,6 @@ from .checkpoint import (
 from .ksstat import (
     KsResult,
     Sample,
-    empirical_cdf_at,
     ks_critical_value,
     ks_pvalue_asymptotic,
     ks_pvalue_permutation,
@@ -45,10 +44,8 @@ from .selection import (
     analyze_pair,
     compare_ticket_distributions,
     count_frequencies,
-    normalized_rank,
     score_row,
     select_by_alpha,
-    select_by_frequency,
     select_top_k,
 )
 from .toytrain import (
@@ -59,7 +56,6 @@ from .toytrain import (
     evaluate,
     forward,
     generate_task,
-    grad_check,
     init_model,
     train,
 )

@@ -82,7 +82,6 @@ class TensorRecord:
 @dataclass
 class Checkpoint:
     tensors: list[TensorRecord] = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -97,9 +96,6 @@ class Checkpoint:
                 return t
         raise CheckpointError(f"tensor not found: {name!r}")
 
-    def names(self) -> list[str]:
-        return [t.name for t in self.tensors]
-
 
 @dataclass(frozen=True)
 class EmbeddingView:
@@ -113,9 +109,6 @@ class EmbeddingView:
     def matrix(self) -> np.ndarray:
         return self.tensor.data.reshape(self.vocab_size, self.dim)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     """Serialize to the binary layout; identical inputs give identical bytes."""
@@ -128,7 +121,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     header = "".join(header_lines).encode("utf-8")
     try:
         with atomic_open(path, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<II", ckpt.format_version, len(header)) + header)
+            fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
             for t in ckpt.tensors:
                 fh.write(t.data.astype("<f4", copy=False).data)
     except OSError as exc:
@@ -204,7 +197,7 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: corrupt checkpoint ({len(payload) - end} trailing payload bytes)"
         )
-    return Checkpoint(tensors, format_version=version)
+    return Checkpoint(tensors)
 
 
 def get_embedding(ckpt: Checkpoint, tensor_name: str) -> EmbeddingView:

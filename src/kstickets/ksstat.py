@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Sample",
     "KsResult",
-    "empirical_cdf_at",
     "ks_statistic",
     "ks_statistic_rows",
     "ks_critical_value",
@@ -66,13 +65,6 @@ class KsResult:
     tau: float
     alpha: float
     reject: bool
-
-
-def empirical_cdf_at(s: Sample, x: float) -> float:
-    """Right-continuous empirical CDF: fraction of sample values <= x."""
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    return int(np.searchsorted(s.values, x, side="right")) / s.n
 
 
 def ks_statistic(a: Sample, b: Sample) -> float:
@@ -138,16 +130,12 @@ def ks_tau(alpha: float, d: int) -> float:
     return 0.0 if alpha == 1.0 else ks_critical_value(alpha, d, d)
 
 
-def ks_pvalue_asymptotic(
-    statistic: float, n: int, m: int, stephens_correction: bool = False
-) -> float:
+def ks_pvalue_asymptotic(statistic: float, n: int, m: int) -> float:
     """Asymptotic p-value Q(lam) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lam^2).
 
-    lam = statistic * sqrt(n*m/(n+m)); with `stephens_correction` the
-    small-sample form lam = statistic * (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) is
-    used instead, ne = n*m/(n+m). The series stops once a term falls below
-    1e-12 or after 100 terms, and the result is clamped to [0, 1]. For lam
-    under 0.2 the true value is 1.0 at that resolution and is returned
+    lam = statistic * sqrt(n*m/(n+m)). The series stops once a term falls
+    below 1e-12 or after 100 terms, and the result is clamped to [0, 1]. For
+    lam under 0.2 the true value is 1.0 at that resolution and is returned
     directly (this also covers statistic == 0). Absolute accuracy is about
     2e-12, so the result is monotone non-increasing in the statistic at that
     tolerance.
@@ -156,11 +144,7 @@ def ks_pvalue_asymptotic(
         raise ValueError(f"statistic must be in [0, 1], got {statistic}")
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be >= 1")
-    root_ne = math.sqrt(n * m / (n + m))
-    if stephens_correction:
-        lam = statistic * (root_ne + 0.12 + 0.11 / root_ne)
-    else:
-        lam = statistic * root_ne
+    lam = statistic * math.sqrt(n * m / (n + m))
     if lam < _LAMBDA_FLOOR:
         return 1.0
     total = 0.0

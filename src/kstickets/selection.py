@@ -32,9 +32,7 @@ __all__ = [
     "analyze_pair",
     "select_by_alpha",
     "select_top_k",
-    "normalized_rank",
     "count_frequencies",
-    "select_by_frequency",
     "compare_ticket_distributions",
     "write_scores_csv",
     "read_scores_csv",
@@ -324,15 +322,6 @@ def select_top_k(scores: ScoreTable, metric: str, k: int) -> WinningTicketSet:
     )
 
 
-def normalized_rank(scores: ScoreTable, metric: str, token_id: int) -> float:
-    """1-based most-changed rank divided by V; most-changed row gives 1/V."""
-    order = _ranked(scores, metric)
-    pos = np.flatnonzero(order == token_id)
-    if not pos.size:
-        raise ValueError(f"unknown token_id {token_id}")
-    return (int(pos[0]) + 1) / order.size
-
-
 def count_frequencies(corpus: Iterable[int], vocab_size: int) -> np.ndarray:
     """Exact occurrence counts per token id; absent ids count 0."""
     ids = np.asarray(corpus if isinstance(corpus, np.ndarray) else list(corpus), dtype=np.int64)
@@ -343,20 +332,6 @@ def count_frequencies(corpus: Iterable[int], vocab_size: int) -> np.ndarray:
             f"token id {ids[pos]} out of range [0, {vocab_size}) at position {pos}"
         )
     return np.bincount(ids, minlength=vocab_size)
-
-
-def select_by_frequency(counts, k: int) -> WinningTicketSet:
-    """Top-k rows by corpus count, ties by ascending token_id."""
-    counts = np.asarray(counts, dtype=np.int64)
-    v = int(counts.size)
-    if k > v:
-        raise ValueError(f"k={k} exceeds vocab size {v}")
-    order = np.lexsort((np.arange(v), -counts))
-    return WinningTicketSet(
-        method="frequency",
-        vocab_size=v,
-        token_ids=tuple(sorted(int(i) for i in order[:k])),
-    )
 
 
 def compare_ticket_distributions(

@@ -32,7 +32,6 @@ __all__ = [
     "train",
     "evaluate",
     "emit_prediction_log",
-    "grad_check",
     "model_to_checkpoint",
     "model_from_checkpoint",
     "write_task_csv",
@@ -301,52 +300,6 @@ def emit_prediction_log(
         i // EXAMPLE_GROUP, i % EXAMPLE_GROUP, task.targets, tuned_pred, p1, p2,
         partial_pred, base_p1, base_p2,
     )
-
-
-def grad_check(model: ToyModel, task: SyntheticTask, epsilon: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Checks the cross-entropy gradient w.r.t. embedding entries on a fixed
-    batch (first 32 pairs); entries are strided deterministically when the
-    embedding is too large to sweep entirely.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    if task.n_pairs == 0:
-        raise ValueError("task has no pairs")
-    b = min(32, task.n_pairs)
-    src = task.sources[:b]
-    tgt = task.targets[:b]
-    w64 = model.output_weights.astype(np.float64)
-    emb64 = model.embedding.astype(np.float64)
-    v, d = emb64.shape
-    _, rows, grad = _grad(_softmax(emb64[src] @ w64.T), src, tgt, w64)
-    analytic = np.zeros((v, d))
-    analytic[rows] = grad
-
-    def loss_at(e: np.ndarray) -> float:
-        p = _softmax(e[src] @ w64.T)
-        return float(-np.log(p[np.arange(b), tgt]).mean())
-
-    total = v * d
-    if total <= 512:
-        flat_indices = np.arange(total)
-    else:
-        flat_indices = np.linspace(0, total - 1, 512).astype(np.int64)
-    e = emb64.copy()
-    worst = 0.0
-    for flat in flat_indices:
-        i, j = divmod(int(flat), d)
-        e[i, j] += epsilon
-        lp = loss_at(e)
-        e[i, j] -= 2.0 * epsilon
-        lm = loss_at(e)
-        e[i, j] = emb64[i, j]
-        fd = (lp - lm) / (2.0 * epsilon)
-        ga = analytic[i, j]
-        err = abs(ga - fd) / max(1e-8, abs(ga) + abs(fd))
-        worst = max(worst, err)
-    return worst
 
 
 def model_to_checkpoint(model: ToyModel) -> Checkpoint:

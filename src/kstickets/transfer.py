@@ -43,7 +43,7 @@ def splice_partial_transfer(
             m = data.reshape(v, d)
             m[ids] = tuned.tensor(tensor_name).data.reshape(v, d)[ids]
         out.append(TensorRecord(t.name, t.shape, data))
-    return Checkpoint(out, format_version=base.format_version)
+    return Checkpoint(out)
 
 
 def emit_mask(tickets: WinningTicketSet, complement: bool = False) -> np.ndarray:

@@ -64,7 +64,7 @@ class TestRoundTrip:
         path = tmp_path / "m.ckpt"
         write_checkpoint(ckpt, path)
         back = read_checkpoint(path)
-        assert back.names() == ["embed", "head"]
+        assert [t.name for t in back.tensors] == ["embed", "head"]
         for t1, t2 in zip(ckpt.tensors, back.tensors):
             assert t1.shape == t2.shape
             assert t1.data.tobytes() == t2.data.tobytes()
@@ -256,7 +256,6 @@ class TestEmbeddingView:
         view = get_embedding(ckpt, "embed")
         assert (view.vocab_size, view.dim) == (8, 4)
         assert view.matrix.shape == (8, 4)
-        np.testing.assert_array_equal(view.row(2), view.matrix[2])
 
     def test_missing_tensor(self):
         with pytest.raises(CheckpointError, match="tensor not found"):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from kstickets.ksstat import (
     Sample,
-    empirical_cdf_at,
     ks_critical_value,
     ks_pvalue_asymptotic,
     ks_pvalue_permutation,
@@ -47,20 +46,6 @@ class TestSample:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Sample([1.0, bad])
-
-
-class TestEmpiricalCdf:
-    @pytest.mark.parametrize(
-        "x,expected",
-        [(2.0, 2 / 3), (0.0, 0.0), (3.0, 1.0), (1.0, 1 / 3), (10.0, 1.0)],
-    )
-    def test_counting(self, x, expected):
-        s = Sample([1.0, 2.0, 3.0])
-        assert empirical_cdf_at(s, x) == pytest.approx(expected)
-
-    def test_non_finite_x(self):
-        with pytest.raises(ValueError):
-            empirical_cdf_at(Sample([1.0]), float("nan"))
 
 
 class TestKsStatistic:
@@ -180,11 +165,6 @@ class TestAsymptoticPvalue:
 
     def test_huge_lambda_vanishes(self):
         assert ks_pvalue_asymptotic(1.0, 1000, 1000) < 1e-12
-
-    def test_stephens_correction_shrinks_p(self):
-        plain = ks_pvalue_asymptotic(0.2, 50, 50)
-        corrected = ks_pvalue_asymptotic(0.2, 50, 50, stephens_correction=True)
-        assert corrected < plain
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),

@@ -19,12 +19,10 @@ from kstickets.selection import (
     analyze_pair,
     compare_ticket_distributions,
     count_frequencies,
-    normalized_rank,
     read_scores_csv,
     read_ticket_file,
     score_row,
     select_by_alpha,
-    select_by_frequency,
     select_top_k,
     write_scores_csv,
     write_ticket_file,
@@ -250,27 +248,6 @@ class TestSelectTopK:
             select_top_k(self.scores(), "frequency", 2)
 
 
-class TestNormalizedRank:
-    def make(self):
-        return table([
-            (i, 0, 1, 1, float(v), 0, 0, 0)
-            for i, v in enumerate([5.0, 20.0, 1.0, 10.0])
-        ])
-
-    def test_most_changed(self):
-        assert normalized_rank(self.make(), "abs", 1) == pytest.approx(1 / 4)
-
-    def test_least_changed(self):
-        assert normalized_rank(self.make(), "abs", 2) == 1.0
-
-    def test_rank_two_of_four(self):
-        assert normalized_rank(self.make(), "abs", 3) == 0.5
-
-    def test_unknown_token(self):
-        with pytest.raises(ValueError, match="unknown token_id"):
-            normalized_rank(self.make(), "abs", 17)
-
-
 class TestFrequencies:
     def test_counts(self):
         np.testing.assert_array_equal(
@@ -296,18 +273,24 @@ class TestFrequencies:
         with pytest.raises(ValueError, match="token id -1 .* position 1"):
             count_frequencies(iter([0, -1, 9]), 4)
 
+    @staticmethod
+    def top_k(counts, k):
+        v = len(counts)
+        scores = ScoreTable(np.arange(v), *[np.zeros(v)] * len(METRICS), frequency=counts)
+        return select_top_k(scores, "frequency", k)
+
     def test_select_top1(self):
-        assert select_by_frequency([0, 2, 1, 0], 1).token_ids == (1,)
+        assert self.top_k([0, 2, 1, 0], 1).token_ids == (1,)
 
     def test_select_top2(self):
-        assert select_by_frequency([0, 2, 1, 0], 2).token_ids == (1, 2)
+        assert self.top_k([0, 2, 1, 0], 2).token_ids == (1, 2)
 
     def test_all_equal_tie(self):
-        assert select_by_frequency([3, 3, 3, 3], 2).token_ids == (0, 1)
+        assert self.top_k([3, 3, 3, 3], 2).token_ids == (0, 1)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            select_by_frequency([1, 2], 3)
+            self.top_k([1, 2], 3)
 
 
 class TestCompareTicketDistributions:
@@ -453,8 +436,6 @@ def test_ranking_matches_sorted_oracle(seed):
         order = ranked_oracle(rows, metric)
         for k in range(v + 1):
             assert select_top_k(scores, metric, k).token_ids == tuple(sorted(order[:k]))
-        for pos, token in enumerate(order, start=1):
-            assert normalized_rank(scores, metric, token) == pos / v
     for alpha in (0.25, 0.5, 1.0):
         if alpha == 1.0:
             want = sorted(r["token_id"] for r in rows if r["ks_statistic"] > 0.0)
