@@ -138,14 +138,10 @@ def certification_report(
     prediction_accuracy is reported only when the log carries partial-model
     predictions.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    tau = ks_tau(alpha, d)
     n = len(log)
     if not n:
         raise ValueError("empty record set")
-    tau = ks_tau(alpha, d)
     correct = log.tuned_prediction == log.reference_token
     verified = _half_gap(log, prob_source) > tau
     partial = log.partial_prediction

@@ -72,6 +72,8 @@ class _Parser(argparse.ArgumentParser):
 def _write_counts_csv(counts: np.ndarray, path, top_k: int | None) -> None:
     ids = np.arange(counts.size)
     if top_k is not None:
+        if top_k < 0:
+            raise ValueError(f"top-k {top_k} must be >= 0")
         if top_k > counts.size:
             raise ValueError(f"top-k {top_k} exceeds vocab size {counts.size}")
         ids = np.lexsort((ids, -counts))[:top_k]

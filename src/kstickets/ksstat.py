@@ -125,8 +125,13 @@ def ks_critical_value(alpha: float, n: int, m: int) -> float:
 def ks_tau(alpha: float, d: int) -> float:
     """Per-row threshold tau(alpha) with n = m = d, and the convention tau(1) = 0.
 
-    At alpha = 1 every distributional change (statistic > 0) rejects.
+    The package's one rejection rule is D > tau, for selection and certification
+    alike; at alpha = 1 every distributional change (D > 0) rejects.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if d < 2:
+        raise ValueError("d must be >= 2")
     return 0.0 if alpha == 1.0 else ks_critical_value(alpha, d, d)
 
 

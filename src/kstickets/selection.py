@@ -280,20 +280,12 @@ def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
 
 
 def select_by_alpha(scores: ScoreTable, alpha: float, d: int) -> WinningTicketSet:
-    """Rows whose per-row test rejects at significance alpha.
-
-    For alpha < 1 a row is selected iff its p-value is below alpha. alpha = 1
-    uses the threshold convention tau(1) = 0: every row with any distributional
-    change (statistic > 0) is selected.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    hit = scores.ks_statistic > 0.0 if alpha == 1.0 else scores.p_value < alpha
+    """Rows whose per-row KS test rejects at alpha: statistic D > ks_tau(alpha, d),
+    the tau the ticket set records and certification uses; p_value plays no part."""
+    tau = ks_tau(alpha, d)
     return WinningTicketSet(
-        method="ks", alpha=alpha, tau=ks_tau(alpha, d), vocab_size=len(scores),
-        token_ids=tuple(np.sort(scores.token_id[hit]).tolist()),
+        method="ks", alpha=alpha, tau=tau, vocab_size=len(scores),
+        token_ids=tuple(np.sort(scores.token_id[scores.ks_statistic > tau]).tolist()),
     )
 
 
@@ -314,6 +306,8 @@ def _ranked(scores: ScoreTable, metric: str) -> np.ndarray:
 def select_top_k(scores: ScoreTable, metric: str, k: int) -> WinningTicketSet:
     """The k most-changed rows under a metric, returned in token_id order."""
     v = len(scores)
+    if k < 0:
+        raise ValueError(f"k={k} must be >= 0")
     if k > v:
         raise ValueError(f"k={k} exceeds vocab size {v}")
     chosen = _ranked(scores, metric)[:k]

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from kstickets.checkpoint import read_checkpoint, write_checkpoint
+from kstickets.checkpoint import Checkpoint, TensorRecord, read_checkpoint, write_checkpoint
 from kstickets.cli import run
 from kstickets.selection import read_scores_csv, read_ticket_file
 from kstickets.toytrain import (
@@ -224,6 +225,42 @@ def test_select_by_alpha_then_mask_and_transfer(workdir):
         spliced.tensor("output_weights").data.tobytes()
         == base.tensor("output_weights").data.tobytes()
     )
+
+
+def test_ticket_file_matches_its_tau(tmp_path):
+    # d=64 grid rows shifted by k = 0..64 steps give every D = k/64, then
+    # noisy rows; each ticket file lists exactly the rows with D > its tau
+    rng = np.random.default_rng(3)
+    grid, noise = np.tile(np.arange(64.0), (65, 1)), rng.normal(size=(40, 64))
+    base = np.vstack([grid, noise])
+    tuned = np.vstack([grid + np.arange(65.0)[:, None], noise + rng.normal(size=(40, 64))])
+    for name, matrix in (("base", base), ("tuned", tuned)):
+        matrix = matrix.astype(np.float32)
+        write_checkpoint(Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())]),
+                         tmp_path / f"{name}.ckpt")
+    scores_csv, out = tmp_path / "scores.csv", tmp_path / "tickets.txt"
+    assert run(["analyze", "--base", str(tmp_path / "base.ckpt"), "--tuned",
+                str(tmp_path / "tuned.ckpt"), "--tensor", "embed", "--out", str(scores_csv)]) == 0
+    scores = read_scores_csv(scores_csv)
+    for alpha in ("0.01", "0.05", "0.25", "0.5", "0.75", "0.9", "1.0"):
+        assert run(["select", "--scores", str(scores_csv), "--alpha", alpha,
+                    "--dim", "64", "--out", str(out)]) == 0
+        tickets = read_ticket_file(out)
+        chosen = np.isin(scores.token_id, tickets.token_ids)
+        assert (scores.ks_statistic[chosen] > tickets.tau).all(), alpha
+        assert (scores.ks_statistic[~chosen] <= tickets.tau).all(), alpha
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--scores", "{dir}/scores.csv", "--method", "ks", "--top-k", "-1"],
+    ["freq", "--corpus", "{dir}/corpus.txt", "--vocab", "64", "--top-k", "-2"],
+], ids=["select", "freq"])
+def test_negative_top_k_exits_two(workdir, capsys, argv):
+    full_analyze(workdir)
+    out = workdir / "out.txt"
+    assert run([a.format(dir=workdir) for a in argv] + ["--out", str(out)]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_select_requires_exactly_one_mode(workdir):

@@ -147,6 +147,18 @@ class TestCriticalValue:
         with pytest.raises(ValueError):
             ks_tau(0.0, 64)
 
+    @pytest.mark.parametrize("alpha, d, match", [
+        (0.0, 64, r"alpha must be in \(0, 1\], got 0.0"),
+        (1.5, 64, r"alpha must be in \(0, 1\], got 1.5"),
+        (float("nan"), 64, r"alpha must be in \(0, 1\], got nan"),
+        (0.05, 1, "d must be >= 2"),
+        (1.0, 1, "d must be >= 2"),
+    ])
+    def test_ks_tau_domain(self, alpha, d, match):
+        # the one home of the alpha and d checks for selection and certification
+        with pytest.raises(ValueError, match=match):
+            ks_tau(alpha, d)
+
     def test_closed_form_matches_reference_table(self):
         # c(alpha) for the classic table rows, 4 significant digits
         table = {0.10: 1.224, 0.05: 1.358, 0.025: 1.480, 0.01: 1.628, 0.001: 1.949}

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kstickets._text import fmt_float
 from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding
-from kstickets.ksstat import Sample, ks_pvalue_permutation, ks_two_sample_test
+from kstickets.ksstat import Sample, ks_pvalue_permutation, ks_tau, ks_two_sample_test
 from kstickets.selection import (
     _CHUNK_ELEMENTS,
     METRICS,
@@ -172,6 +173,27 @@ class TestSelectByAlpha:
         tickets = select_by_alpha(scores, 1.0, 64)
         assert tickets.tau == 0.0
         assert tickets.token_ids == (2,)
+
+    def test_rejects_by_tau_not_by_p_value(self):
+        # d=64: a grid row shifted by k steps has D = k/64. At alpha=0.9,
+        # D = 7/64 has p = 0.839 < 0.9 but stays below tau = 0.1117 < 8/64.
+        base = np.tile(np.arange(64.0), (2, 1))
+        scores = analyze_pair(view_of(base), view_of(base + [[7.0], [8.0]]))
+        assert scores.ks_statistic.tolist() == [7 / 64, 8 / 64]
+        assert scores.p_value[0] == pytest.approx(0.839, abs=5e-4)
+        tickets = select_by_alpha(scores, 0.9, 64)
+        assert 7 / 64 < tickets.tau == pytest.approx(0.1117, abs=5e-5)
+        assert tickets.token_ids == (1,)
+
+    def test_small_d_selects_nothing(self):
+        # tau(0.01, d) > 1 >= D for d <= 5, so not even a fully shifted row rejects
+        base = np.arange(10.0).reshape(2, 5)
+        scores = analyze_pair(view_of(base), view_of(base + 100.0))
+        assert scores.ks_statistic.tolist() == [1.0, 1.0]
+        tickets = select_by_alpha(scores, 0.01, 5)
+        assert tickets.tau == pytest.approx(1.029, abs=5e-4)
+        assert tickets.token_ids == ()
+        assert ks_tau(0.01, 6) == pytest.approx(0.940, abs=5e-4)
 
     def test_shifted_fixture(self):
         base, tuned = shifted_row_fixture(hot_row=5)
@@ -437,11 +459,19 @@ def test_ranking_matches_sorted_oracle(seed):
         for k in range(v + 1):
             assert select_top_k(scores, metric, k).token_ids == tuple(sorted(order[:k]))
     for alpha in (0.25, 0.5, 1.0):
-        if alpha == 1.0:
-            want = sorted(r["token_id"] for r in rows if r["ks_statistic"] > 0.0)
-        else:
-            want = sorted(r["token_id"] for r in rows if r["p_value"] < alpha)
+        want = sorted(r["token_id"] for r in rows if r["ks_statistic"] > ks_tau(alpha, 64))
         assert select_by_alpha(scores, alpha, 64).token_ids == tuple(want)
+
+
+def test_nine_digit_statistic_keeps_its_side_of_tau():
+    # select reads D back from the scores CSV at fmt_float's 9 significant
+    # digits; the lattice points k/d next to tau must not cross it there
+    for alpha in (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9):
+        for d in range(2, 4097):
+            tau = ks_tau(alpha, d)
+            below = math.floor(tau * d)
+            for k in range(max(0, below - 1), min(d, below + 2) + 1):
+                assert (float(fmt_float(k / d)) > tau) == (k / d > tau), (alpha, d, k)
 
 
 def test_score_table_requires_each_id_once():
