@@ -4,8 +4,13 @@ and a bad CSV row is reported as ``path: bad <what> row at line N: reason``."""
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import repeat
+from typing import Callable
+
+import numpy as np
 
 
 # Floats in CSV/report outputs carry 9 significant digits.
@@ -62,19 +67,107 @@ def column_lines(columns):
     return map(",".join, zip(*cells))
 
 
-def read_csv(path, header: str, parsers, what: str) -> list[list]:
-    """The columns of a CSV whose first line is header, parsed one column at a
-    time: parsers[j] converts every cell of column j.
+@dataclass(frozen=True)
+class Column:
+    """A CSV column of int64 or float64 cells.
 
-    Each row must have as many cells as the header. A ValueError from a
-    parser is re-raised naming path and the line of the first bad row.
+    Called on one cell, it parses it with Python's int or float: that is the
+    reference parse, and its ValueError names a bad row. An optional column
+    reads a blank cell as None. valid, vectorised, must hold for every value;
+    a value that fails it raises ValueError(invalid.format(value)).
+    """
+
+    dtype: type
+    optional: bool = False
+    valid: Callable | None = None
+    invalid: str = ""
+
+    def __call__(self, cell: str):
+        parse = int if self.dtype is np.int64 else float
+        value = parse_optional(cell, parse) if self.optional else parse(cell)
+        if value is not None and self.valid is not None and not self.valid(value):
+            raise ValueError(self.invalid.format(value))
+        return value
+
+
+INT, FLOAT = Column(np.int64), Column(np.float64)
+OPTIONAL_INT, OPTIONAL_FLOAT = Column(np.int64, optional=True), Column(np.float64, optional=True)
+
+
+def blank_cells(column, n: int) -> np.ndarray:
+    """Which of the n cells of an optional column read_csv read as blank."""
+    if column is None:
+        return np.ones(n, dtype=bool)
+    if isinstance(column, np.ndarray):
+        return np.zeros(n, dtype=bool)
+    return np.fromiter((cell is None for cell in column), dtype=bool, count=n)
+
+
+def read_csv(path, header: str, parsers, what: str) -> list:
+    """The columns of a CSV whose first line is header: parsers[j] converts
+    every cell of column j, and each row must have as many cells as the header.
+
+    When every parser is a Column, numpy's C parser reads the body first, and
+    its numpy columns are returned where they are sure to equal Python's
+    parse (see _c_columns); an optional column blank on every row is None.
+    Otherwise the columns are lists from _python_columns, whose ValueError
+    names path and the line of the first bad row.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: not a {what} file (bad header)")
     ncells = header.count(",") + 1
     rows = lines[1:]
+    if all(isinstance(p, Column) for p in parsers):
+        columns = _c_columns(text, rows, parsers, ncells)
+        if columns is not None:
+            return columns
+    return _python_columns(path, rows, parsers, what, ncells)
+
+
+def _c_columns(text: str, rows: list[str], parsers, ncells: int) -> list | None:
+    """The columns np.loadtxt parses from rows, or None wherever its answer
+    could differ from Python's: it raised or warned, it skipped a row, a
+    row's cell count differs from the header's, or a value fails valid.
+
+    Optional columns left blank in the first row, when trailing, are left
+    out of the parse (usecols); they must be blank on every row.
+    """
+    if not rows or rows[0].count(",") != ncells - 1:
+        return None
+    first = rows[0].split(",")
+    used = ncells
+    while used > 1 and parsers[used - 1].optional and first[used - 1] == "":
+        used -= 1
+    # Every row has exactly ncells cells: the commas add up, numpy found the
+    # used cells of every row, and every row ends with the blank ones.
+    blank = "," * (ncells - used)
+    if text.count(",") != (len(rows) + 1) * (ncells - 1):
+        return None
+    if blank and text.count(blank + "\n") + text.endswith(blank) != len(rows):
+        return None
+    dtype = np.dtype([(f"c{j}", parsers[j].dtype) for j in range(used)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                               usecols=tuple(range(used)), ndmin=1)
+        except (ValueError, OverflowError, Warning):  # Python's parse decides
+            return None
+    if table.size != len(rows):
+        return None
+    parsed = [table[name] for name in dtype.names] + [None] * (ncells - used)
+    for parse, values in zip(parsers, parsed):
+        if parse.valid is not None and values is not None and not parse.valid(values).all():
+            return None
+    return parsed
+
+
+def _python_columns(path, rows: list[str], parsers, what: str, ncells: int) -> list[list]:
+    """Python's parse of rows, one list per column: the reference answer, and
+    the only source of the error text of a bad row."""
     try:
         if any(row.count(",") != ncells - 1 for row in rows):
             raise ValueError

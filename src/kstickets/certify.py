@@ -9,12 +9,22 @@ then cannot flip the argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from ._text import column_lines, fmt_float, parse_optional, read_csv, write_csv, write_text
+from ._text import (
+    FLOAT,
+    INT,
+    OPTIONAL_FLOAT,
+    OPTIONAL_INT,
+    blank_cells,
+    column_lines,
+    fmt_float,
+    read_csv,
+    write_csv,
+    write_text,
+)
 from .ksstat import ks_tau
 
 __all__ = [
@@ -169,15 +179,14 @@ def write_prediction_log(log: PredictionLog, path) -> None:
 
 def read_prediction_log(path) -> PredictionLog:
     """A blank cell in any row leaves that optional column absent."""
-    opt_float = partial(parse_optional, parse=float)
-    parsers = (int, int, int, int, float, float, parse_optional, opt_float, opt_float)
+    parsers = (INT, INT, INT, INT, FLOAT, FLOAT, OPTIONAL_INT, OPTIONAL_FLOAT, OPTIONAL_FLOAT)
     columns = read_csv(path, LOG_HEADER, parsers, "log")
-    pairs = enumerate(zip(columns[7], columns[8]))
-    half = next((i for i, (b1, b2) in pairs if (b1 is None) != (b2 is None)), None)
+    blank = [blank_cells(c, len(columns[0])) for c in columns[6:]]
+    half = np.flatnonzero(blank[1] != blank[2])
     try:
-        if half is not None:
-            raise _BadRecord(half, "base_p1 and base_p2 must be given together")
-        return PredictionLog(*columns[:6], *(None if None in c else c for c in columns[6:]))
+        if half.size:
+            raise _BadRecord(int(half[0]), "base_p1 and base_p2 must be given together")
+        return PredictionLog(*columns[:6], *(None if b.any() else c for b, c in zip(blank, columns[6:])))
     except _BadRecord as exc:
         raise ValueError(f"{path}: bad log row at line {exc.index + 2}: {exc.reason}") from exc
 

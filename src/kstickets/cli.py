@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from ._text import column_lines, fmt_float, read_csv, write_csv, write_text
+from ._text import Column, column_lines, fmt_float, read_csv, write_csv, write_text
 from .certify import (
     PROB_SOURCES,
     alpha_sweep,
@@ -82,30 +83,54 @@ def _write_counts_csv(counts: np.ndarray, path, top_k: int | None) -> None:
 
 def _read_counts_csv(path, vocab_size: int) -> np.ndarray:
     """The count of every id 0..V-1: 0 when not listed, the last line's when repeated."""
-    def token_id(cell):
-        if not 0 <= (i := int(cell)) < vocab_size:
-            raise ValueError(f"token id {i} outside [0, {vocab_size})")
-        return i
-
-    def count(cell):
-        if (c := int(cell)) < 0:
-            raise ValueError(f"negative count {c}")
-        return c
-
-    by_id = dict(zip(*read_csv(path, COUNTS_HEADER, (token_id, count), "counts")))
+    token_id = Column(np.int64, valid=lambda i: (0 <= i) & (i < vocab_size),
+                      invalid=f"token id {{}} outside [0, {vocab_size})")
+    count = Column(np.int64, valid=lambda c: c >= 0, invalid="negative count {}")
+    ids, values = (np.asarray(c, dtype=np.int64)
+                   for c in read_csv(path, COUNTS_HEADER, (token_id, count), "counts"))
+    last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
     counts = np.zeros(vocab_size, dtype=np.int64)
-    counts[list(by_id)] = list(by_id.values())
+    counts[ids[last]] = values[last]
     return counts
 
 
 def _read_corpus(path) -> np.ndarray:
-    """Whitespace-separated ids; an id beyond int64 raises OverflowError (exit 2)."""
+    """Whitespace-separated ids; an id beyond int64 raises OverflowError (exit 2).
+
+    numpy's C parser reads the text first. Its answer is kept unless it
+    warned or raised, or the text has a sign or no token (numpy reads a lone
+    sign, or blank text, as 0), or an id is int64's maximum (numpy clamps an
+    overflow to it); then Python's split() and int() decide.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+        text = fh.read()
+    if "-" not in text and "+" not in text and not text.isspace():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ids = np.fromstring(text, dtype=np.int64, sep=" ")
+            except (ValueError, OverflowError, Warning):  # Python's parse decides
+                ids = None
+        if ids is not None and not (ids == np.iinfo(np.int64).max).any():
+            return ids
     try:
-        return np.array(tokens, dtype=np.int64)
+        return np.array(text.split(), dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"{path}: corpus must contain integer token ids") from exc
+
+
+def _off_lattice(statistic: np.ndarray, d: int) -> np.ndarray:
+    """The rows whose KS statistic is not k/d for an integer 0 <= k <= d.
+
+    analyze writes D = k/d to 9 significant digits, within 5e-9 * D of k/d,
+    so D * d lies within 5e-9 * d of k: the tolerance 1e-8 * d keeps every
+    such row. For a true dimension and a d both up to 4096, a statistic off
+    the 1/d lattice is at least 1/4096 - 5e-9 * d from it, so a d that is
+    not a multiple of the true one is caught on any row with such a k.
+    """
+    x = statistic * d
+    on = (np.abs(x - np.rint(x)) <= 1e-8 * d) & (statistic >= 0) & (statistic <= 1)
+    return np.flatnonzero(~on)
 
 
 def _cmd_analyze(args) -> None:
@@ -130,6 +155,13 @@ def _cmd_select(args) -> None:
         if args.dim is None:
             raise _UsageError("--alpha requires --dim")
         tickets = select_by_alpha(scores, args.alpha, args.dim)
+        if (off := _off_lattice(scores.ks_statistic, args.dim)).size:
+            i = int(off[0])
+            raise ValueError(
+                f"{args.scores}: line {i + 2}: ks_statistic {fmt_float(scores.ks_statistic[i])} "
+                f"is not k/{args.dim} for any k in 0..{args.dim}: were these scores "
+                f"analyzed at another --dim?"
+            )
     else:
         if args.top_k is None:
             raise _UsageError("--method requires --top-k")

@@ -12,7 +12,17 @@ from typing import Iterable
 
 import numpy as np
 
-from ._text import column_lines, parse_optional, read_csv, write_csv, write_text
+from ._text import (
+    FLOAT,
+    INT,
+    OPTIONAL_INT,
+    blank_cells,
+    column_lines,
+    parse_optional,
+    read_csv,
+    write_csv,
+    write_text,
+)
 from .checkpoint import EmbeddingView
 from .ksstat import (
     Sample,
@@ -366,9 +376,10 @@ def write_scores_csv(scores: ScoreTable, path) -> None:
 
 def read_scores_csv(path) -> ScoreTable:
     """A blank frequency cell in any row leaves the whole column absent."""
-    parsers = (int, *[float] * len(METRICS), parse_optional)
+    parsers = (INT, *[FLOAT] * len(METRICS), OPTIONAL_INT)
     *columns, freq = read_csv(path, SCORES_HEADER, parsers, "scores")
-    return ScoreTable(*columns, frequency=None if None in freq else freq)
+    blank = blank_cells(freq, len(columns[0])).any()
+    return ScoreTable(*columns, frequency=None if blank else freq)
 
 
 def write_ticket_file(tickets: WinningTicketSet, path) -> None:

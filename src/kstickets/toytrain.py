@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import column_lines, read_csv, write_csv
+from ._text import INT, column_lines, read_csv, write_csv
 from .certify import PredictionLog
 from .checkpoint import Checkpoint, TensorRecord
 from .selection import WinningTicketSet
@@ -318,7 +318,7 @@ def write_task_csv(task: SyntheticTask, path) -> None:
 
 
 def read_task_csv(path, vocab_size: int) -> SyntheticTask:
-    sources, targets = read_csv(path, TASK_HEADER, (int, int), "task")
-    if not sources:
+    sources, targets = read_csv(path, TASK_HEADER, (INT, INT), "task")
+    if not len(sources):
         raise ValueError(f"{path}: no pairs")
     return SyntheticTask(vocab_size=vocab_size, sources=sources, targets=targets)

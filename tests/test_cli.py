@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kstickets.checkpoint import Checkpoint, TensorRecord, read_checkpoint, write_checkpoint
-from kstickets.cli import run
+from kstickets._text import fmt_float
+from kstickets.cli import _off_lattice, run
 from kstickets.selection import read_scores_csv, read_ticket_file
 from kstickets.toytrain import (
     TrainConfig,
@@ -249,6 +250,49 @@ def test_ticket_file_matches_its_tau(tmp_path):
         chosen = np.isin(scores.token_id, tickets.token_ids)
         assert (scores.ks_statistic[chosen] > tickets.tau).all(), alpha
         assert (scores.ks_statistic[~chosen] <= tickets.tau).all(), alpha
+
+
+def test_select_alpha_checks_dim_against_the_scores(tmp_path, capsys):
+    # rows shifted by k = 0..64 steps give every D = k/64
+    grid = np.tile(np.arange(64, dtype=np.float32), (65, 1))
+    shifted = grid + np.arange(65, dtype=np.float32)[:, None]
+    for name, matrix in (("base", grid), ("tuned", shifted)):
+        write_checkpoint(Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())]),
+                         tmp_path / f"{name}.ckpt")
+    scores_csv, out = tmp_path / "scores.csv", tmp_path / "tickets.txt"
+    assert run(["analyze", "--base", str(tmp_path / "base.ckpt"), "--tuned",
+                str(tmp_path / "tuned.ckpt"), "--tensor", "embed", "--out", str(scores_csv)]) == 0
+    select = ["select", "--scores", str(scores_csv), "--alpha", "0.05", "--out", str(out)]
+    assert run([*select, "--dim", "64"]) == 0
+    out.unlink()
+    # D = 1/64 on line 3 is not k/32
+    assert run([*select, "--dim", "32"]) == 2
+    assert f"{scores_csv}: line 3: ks_statistic 0.015625 is not k/32" in capsys.readouterr().err
+    assert not out.exists()
+    # the documented limit: a multiple of the true d puts every k/64 on its lattice
+    assert run([*select, "--dim", "4096"]) == 0
+
+
+def test_lattice_check_keeps_every_statistic_analyze_writes():
+    # analyze writes D = k/d at 9 significant digits, which moves it by at
+    # most 5e-9 * D: every k of every d in 2..4096 stays on the lattice
+    for d in range(2, 4097):
+        x = np.arange(d + 1) / d
+        for moved in (x, x * (1 - 5e-9), x * (1 + 5e-9)):
+            assert _off_lattice(np.clip(moved, 0.0, 1.0), d).size == 0, d
+    # and the values fmt_float really writes, next to and at the 9th digit's ties
+    for d in [*range(2, 300), 640, 768, 1000, 1024, 2047, 2048, 3000, 4095, 4096]:
+        x = np.arange(d + 1) / d
+        for near in (x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
+            written = np.array([float(fmt_float(v)) for v in near.tolist()])
+            assert _off_lattice(written, d).size == 0, d
+
+
+def test_lattice_check_catches_a_dim_that_is_not_a_multiple():
+    for true_d in (3, 64, 768, 4096):
+        written = np.array([float(fmt_float(k / true_d)) for k in range(true_d + 1)])
+        for d in range(2, 4097):
+            assert (_off_lattice(written, d).size == 0) == (d % true_d == 0), (true_d, d)
 
 
 @pytest.mark.parametrize("argv", [

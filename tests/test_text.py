@@ -1,9 +1,27 @@
 import os
 import stat
+import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from kstickets._text import atomic_open, parse_optional, read_csv, write_csv, write_text
+from kstickets import _text
+from kstickets._text import (
+    FLOAT,
+    INT,
+    OPTIONAL_FLOAT,
+    OPTIONAL_INT,
+    atomic_open,
+    parse_optional,
+    read_csv,
+    write_csv,
+    write_text,
+)
+from kstickets.certify import PredictionLog, read_prediction_log, write_prediction_log
+from kstickets.cli import _read_corpus, _read_counts_csv, run
+from kstickets.selection import ScoreTable, read_scores_csv, write_scores_csv
+from kstickets.toytrain import read_task_csv
 
 
 def test_failed_write_keeps_previous_bytes(tmp_path):
@@ -86,3 +104,170 @@ def test_read_csv_returns_columns_and_names_the_first_bad_row(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"{path}: bad pairs row at line {line}: "):
             read_csv(path, "a,b", (int, int), "pairs")
+
+
+# The C parser (numpy) must give Python's answer or hand the file to Python's
+# parse: every case reads to the same columns, or fails with the same text.
+CELLS = ["7", "+7", " 7 ", "1_000", "١٢", "1.0", "1e3", "99999999999999999999",
+         "-99999999999999999999", "nan", "-nan", "inf", "-Infinity", "Infinity",
+         "1e999", "1.5e-400", "-0", "0.1", "", " ", "#", "0x10", "1\x002", "\u20037",
+         "7\u3000", "\xa07", "７", "1d3", "infinit", "nan(1)", ".", "-.5e-3", "1e", "e3"]
+ROW = ["4", "0.25", "5", "0.75"]
+
+
+def with_cell(j, cell):
+    return ",".join(ROW[:j] + [cell] + ROW[j + 1:])
+
+
+BODIES = {
+    **{f"cell-{j}-{cell!r}": f"{with_cell(j, cell)}\n{','.join(ROW)}\n"
+       for j in range(4) for cell in CELLS},
+    **{f"row-2-cell-{j}-{cell!r}": f"{','.join(ROW)}\n{with_cell(j, cell)}\n"
+       for j in range(4) for cell in ("", "1.0", "x")},
+    "extra-cell": "1,0.5,2,0.5\n1,0.5,2,0.5,9\n",
+    "missing-cell": "1,0.5,2,0.5\n1,0.5,2\n",
+    "missing-and-extra-cell": "1,0.5,2,\n1,0.5,2,,\n1,0.5\n",
+    "short-blank-row": "1,0.5,,\n1,0.5,\n1,0.5,,,\n",
+    "hash-cell": "1,0.5,2,0.5\n#,0.5,2,0.5\n",
+    "blank-line-mid-file": "1,0.5,2,0.5\n\n1,0.5,2,0.5\n",
+    "whitespace-line": "1,0.5,2,0.5\n   \n1,0.5,2,0.5\n",
+    "trailing-formfeed": "1,0.5,2,0.5\x0c\n1,0.5,2,0.5\n",
+    "trailing-formfeed-blank-optionals": "1,0.5,,\x0c\n1,0.5,,\n",
+    "crlf": "1,0.5,2,0.5\r\n3,0.25,4,0.125\r\n",
+    "crlf-blank-optionals": "1,0.5,,\r\n3,0.25,,\r\n",
+    "lone-cr": "1,0.5,2,0.5\r3,0.25,4,0.125\n",
+    "no-final-newline": "1,0.5,2,0.5\n3,0.25,4,0.125",
+    "no-final-newline-blank-optionals": "1,0.5,,\n3,0.25,,",
+    "header-only": "",
+    "one-row": "1,0.5,2,0.5\n",
+    "blank-optionals": "1,0.5,,\n3,0.25,,\n",
+    "blank-last-optional": "1,0.5,2,\n3,0.25,4,\n",
+    "blank-first-optional": "1,0.5,,0.5\n3,0.25,,0.125\n",
+    "mixed-blank-later": "1,0.5,,\n3,0.25,4,\n",
+    "mixed-blank-first": "1,0.5,2,\n3,0.25,,\n",
+    "mixed-blank-middle": "1,0.5,2,0.5\n3,0.25,,0.125\n",
+    "blank-optional-as-space": "1,0.5, ,\n3,0.25,,\n",
+}
+PARSERS = (INT, FLOAT, OPTIONAL_INT, OPTIONAL_FLOAT)
+
+
+def cells_of(column, n):
+    """A column as Python values, floats by their bytes; absent is all blank."""
+    values = [None] * n if column is None else np.asarray(column, dtype=object).tolist()
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+def outcome(read):
+    try:
+        columns = read()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    n = len(columns[0])
+    return [cells_of(c, n) for c in columns]
+
+
+@pytest.mark.parametrize("body", BODIES.values(), ids=BODIES.keys())
+def test_c_parser_gives_pythons_answer(tmp_path, monkeypatch, body):
+    path = tmp_path / "t.csv"
+    path.write_text("i,f,oi,of\n" + body, encoding="utf-8", newline="")
+    read = lambda: read_csv(path, "i,f,oi,of", PARSERS, "t")  # noqa: E731
+    fast = outcome(read)
+    monkeypatch.setattr(_text, "_c_columns", lambda *args: None)
+    assert fast == outcome(read)
+
+
+@pytest.mark.parametrize("body", ["1\n2\n", "1\n\n2\n", "1\n \n2\n", "1\n2\n\n", "\n"])
+def test_c_parser_gives_pythons_answer_on_one_column(tmp_path, monkeypatch, body):
+    # without a comma to count, only the row count sees numpy skip a blank line
+    path = tmp_path / "t.csv"
+    path.write_text("i\n" + body)
+    read = lambda: read_csv(path, "i", (INT,), "t")  # noqa: E731
+    fast = outcome(read)
+    monkeypatch.setattr(_text, "_c_columns", lambda *args: None)
+    assert fast == outcome(read)
+
+
+CORPORA = ["1 2 3\n", "1\n\n2\r\n3\t4\x0b5\x0c6 \n", "", "  \n", "\n", "-", "+", "- 1",
+           "1 -", "1 +", "-0", "+7", "0001", "1_000", "١٢", "1.5", "1e3", "x", "1\x1c2",
+           "1\xa02", "1\x002", "9223372036854775807", "9223372036854775808",
+           "99999999999999999999", "-9223372036854775809"]
+
+
+@pytest.mark.parametrize("corpus", CORPORA, ids=map(repr, CORPORA))
+def test_corpus_c_parser_gives_pythons_answer(tmp_path, monkeypatch, corpus):
+    path = tmp_path / "corpus.txt"
+    path.write_text(corpus, encoding="utf-8", newline="")
+
+    def read():
+        try:
+            ids = _read_corpus(path)
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+        return ids.dtype, ids.tobytes()
+
+    fast = read()
+
+    def refuse(*args, **kwargs):
+        raise ValueError("forced fallback")
+
+    monkeypatch.setattr(np, "fromstring", refuse)
+    assert fast == read()
+
+
+def test_workload_files_take_the_c_parser(tmp_path, monkeypatch):
+    """Every file kind the pipeline writes is read without Python's parse."""
+    def cli(*argv):
+        assert run([str(a) for a in argv]) == 0
+
+    t = tmp_path
+    cli("toy", "gen", "--seed", 1, "--vocab", 64, "--pairs", 300, "--out", t / "task.csv")
+    cli("toy", "init", "--seed", 1, "--vocab", 64, "--dim", 16, "--out", t / "base.ckpt")
+    cli("toy", "train", "--model", t / "base.ckpt", "--task", t / "task.csv", "--mode", "embed",
+        "--epochs", 3, "--out", t / "tuned.ckpt")
+    (t / "corpus.txt").write_text((" ".join(map(str, range(64))) + "\n") * 3)
+    cli("freq", "--corpus", t / "corpus.txt", "--vocab", 64, "--out", t / "counts.csv")
+    pair = ["--base", t / "base.ckpt", "--tuned", t / "tuned.ckpt", "--tensor", "embedding"]
+    cli("analyze", *pair, "--out", t / "scores.csv")
+    cli("analyze", *pair, "--freq", t / "counts.csv", "--out", t / "scores-freq.csv")
+    predict = ["toy", "predict-log", "--tuned", t / "tuned.ckpt", "--task", t / "task.csv"]
+    cli(*predict, "--out", t / "log.csv")
+    cli(*predict, "--partial", t / "tuned.ckpt", "--base", t / "base.ckpt", "--out", t / "log-full.csv")
+    cli(*predict, "--partial", t / "tuned.ckpt", "--out", t / "log-partial.csv")
+
+    def refuse(*args):
+        raise AssertionError("Python's parse was entered")
+
+    monkeypatch.setattr(_text, "_python_columns", refuse)
+    assert read_scores_csv(t / "scores.csv").frequency is None
+    assert read_scores_csv(t / "scores-freq.csv").frequency is not None
+    assert read_prediction_log(t / "log.csv").base_p1 is None
+    full = read_prediction_log(t / "log-full.csv")
+    assert full.partial_prediction is not None and full.base_p2 is not None
+    assert read_prediction_log(t / "log-partial.csv").base_p1 is None
+    assert _read_counts_csv(t / "counts.csv", 64).sum() == 3 * 64
+    assert len(read_task_csv(t / "task.csv", 64).sources) == 300
+
+
+def test_reader_peak_memory(tmp_path):
+    """Reading keeps no Python object per cell: the traced peak stays within
+    3x the file plus its columns."""
+    rng = np.random.default_rng(0)
+    n = 100_000
+    p1 = rng.uniform(0.5, 1.0, n)
+    ids = rng.integers(0, 8192, (4, n))
+    log = PredictionLog(np.arange(n) // 40, np.arange(n) % 40, ids[0], ids[1], p1, p1 / 3,
+                        ids[2], p1, p1 / 4)
+    v = 32_000
+    scores = ScoreTable(rng.permutation(v), rng.integers(0, 65, v) / 64, *rng.random((6, v)))
+    write_prediction_log(log, tmp_path / "log.csv")
+    write_scores_csv(scores, tmp_path / "scores.csv")
+    for read, name in ((read_prediction_log, "log.csv"), (read_scores_csv, "scores.csv")):
+        path = tmp_path / name
+        tracemalloc.start()
+        try:
+            table = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(c.nbytes for c in vars(table).values() if c is not None)
+        assert peak <= 3 * (path.stat().st_size + columns), name
