@@ -7,7 +7,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -15,6 +15,7 @@ import numpy as np
 
 # Floats in CSV/report outputs carry 9 significant digits.
 fmt_float = "{:.9g}".format
+_ROWS_PER_WRITE = 4096
 
 
 def parse_optional(text: str, parse=int):
@@ -53,18 +54,36 @@ def write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: str, lines) -> None:
-    """A header line, then one line per formatted row."""
-    write_text(path, "\n".join([header, *lines]) + "\n")
+    """A header line, then one line per formatted row, _ROWS_PER_WRITE at a time."""
+    lines = iter(lines)
+    with atomic_open(path) as fh:
+        fh.write(header + "\n")
+        while chunk := list(islice(lines, _ROWS_PER_WRITE)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def column_lines(columns):
-    """CSV lines from numpy columns; every cell of an absent (None) column is blank."""
-    cells = [
-        repeat("") if col is None
-        else map(fmt_float if col.dtype.kind == "f" else str, col.tolist())
-        for col in columns
-    ]
-    return map(",".join, zip(*cells))
+    """CSV lines from numpy columns; every cell of an absent (None) column is blank.
+
+    Each distinct float64 bit pattern (so -0.0 apart from 0.0) is formatted
+    once; the cell texts are gathered _ROWS_PER_WRITE rows at a time.
+    """
+    columns = list(columns)
+    cells = [_cell_texts(col) for col in columns]
+    n = min((col.size for col in columns if col is not None), default=0)
+    for lo in range(0, n, _ROWS_PER_WRITE):
+        yield from map(",".join, zip(*(texts(lo, lo + _ROWS_PER_WRITE) for texts in cells)))
+
+
+def _cell_texts(col):
+    """texts(lo, hi): the cell texts of col[lo:hi]."""
+    if col is None:
+        return lambda lo, hi: repeat("")
+    if col.dtype.kind != "f":
+        return lambda lo, hi: map(str, col[lo:hi].tolist())
+    bits, where = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
+    distinct = np.array([fmt_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return lambda lo, hi: distinct[where[lo:hi]].tolist()
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ class TensorRecord:
                 f"tensor {self.name!r}: data length {arr.size} does not match "
                 f"shape product {expected}"
             )
-        if not np.isfinite(arr).all():
+        # min and max carry a NaN and show an inf, and allocate nothing of arr's size
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise CheckpointError(f"tensor {self.name!r}: data must be finite")
         self.data = arr
 

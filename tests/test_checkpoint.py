@@ -230,6 +230,46 @@ class TestPeakMemory:
             assert back.tensor(t.name).data.tobytes() == t.data.tobytes()
 
 
+class TestFiniteCheck:
+    """A NaN or an inf anywhere in a multi-MB tensor is rejected, and the check
+    allocates no temporary of the tensor's size."""
+
+    SHAPE = (2048, 768)  # 6.3 MB of float32
+    SIZE = SHAPE[0] * SHAPE[1]
+    WHERE = {"first": 0, "middle": SIZE // 2 + 123, "last": SIZE - 1}
+
+    def data(self):
+        return np.random.default_rng(0).normal(size=self.SIZE).astype(np.float32)
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tensor_record(self, bad, where):
+        data = self.data()
+        data[self.WHERE[where]] = bad
+        with pytest.raises(CheckpointError, match="tensor 'e': data must be finite"):
+            TensorRecord("e", self.SHAPE, data)
+
+    def test_read_checkpoint(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_checkpoint(Checkpoint([TensorRecord("e", self.SHAPE, self.data())]), path)
+        blob = path.read_bytes()
+        payload = 12 + struct.unpack("<I", blob[8:12])[0]
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in self.WHERE.values():
+                with open(path, "r+b") as fh:
+                    fh.seek(payload + 4 * at)
+                    fh.write(np.float32(bad).tobytes())
+                with pytest.raises(CheckpointError, match="tensor 'e': data must be finite"):
+                    read_checkpoint(path)
+                path.write_bytes(blob)
+        assert read_checkpoint(path).tensor("e").data.tobytes() == self.data().tobytes()
+
+    def test_check_allocates_no_tensor_sized_temporary(self):
+        data = self.data()
+        _, peak = traced_peak(TensorRecord, "e", self.SHAPE, data)
+        assert peak < data.size // 8  # np.isfinite(data) alone is data.size bytes
+
+
 class TestAtomicWrite:
     def test_failed_payload_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "model.ckpt"

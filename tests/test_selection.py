@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kstickets import cli, selection
 from kstickets._text import fmt_float
-from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding
+from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding, write_checkpoint
 from kstickets.ksstat import Sample, ks_pvalue_permutation, ks_tau, ks_two_sample_test
 from kstickets.selection import (
     _CHUNK_ELEMENTS,
@@ -622,6 +625,124 @@ def test_analyze_pair_peak_stays_below_one_float64_matrix():
     finally:
         tracemalloc.stop()
     assert peak < v * d * 8
+
+
+@pytest.fixture(params=[1, 2, 3, 5], ids=lambda w: f"cpus{w}")
+def cpus(request, monkeypatch):
+    """analyze_pair run as if the process may use this many CPUs."""
+    monkeypatch.setattr(selection, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
+@pytest.mark.parametrize("v_of", [
+    lambda r: 1, lambda r: r - 1, lambda r: r + 1, lambda r: 3 * r + 2, lambda r: 5 * r + 3,
+], ids=["one-row", "chunk-minus-1", "chunk-plus-1", "four-chunks", "six-chunks"])
+def test_analyze_pair_matches_score_row_oracle_at_any_cpu_count(cpus, d, v_of):
+    # fewer blocks than CPUs, as many, and more; V never a multiple of the
+    # block. Row i is pool pair pairs[i], so score_row runs once per pool pair.
+    pool = edge_row_pairs(d)
+    pairs = np.random.default_rng(d).permutation(v_of(chunk_rows(d))) % len(pool)
+    base, tuned = (np.stack(side)[pairs] for side in zip(*pool))
+    scores = analyze_pair(view_of(base), view_of(tuned))
+    oracle = [score_row(b, t) for b, t in pool]
+    for name in METRICS:
+        want = np.array([getattr(s, name) for s in oracle])[pairs]
+        assert np.array_equal(getattr(scores, name).view(np.int64), want.view(np.int64)), name
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
+def test_analyze_pair_matches_score_row_on_random_rows_at_any_cpu_count(cpus, d):
+    test_analyze_pair_matches_score_row_on_random_rows(d)
+
+
+def test_analyze_pair_shares_blocks_between_main_thread_and_pool(cpus, monkeypatch):
+    # row i starts with the value i, so each scored block names its first row
+    d, r = 64, chunk_rows(64)
+    base = np.zeros((8 * r - 5, d))
+    base[:, 0] = np.arange(len(base))
+    main, threads_before = threading.get_ident(), threading.active_count()
+    seen = []
+
+    def spy(b, t):
+        seen.append((int(b[0, 0]), threading.get_ident(), threading.active_count()))
+        return score_rows(b, t)
+
+    score_rows = selection._score_rows
+    monkeypatch.setattr(selection, "_score_rows", spy)
+    analyze_pair(view_of(base), view_of(base + 1.0))
+    assert sorted(lo for lo, _, _ in seen) == list(range(0, len(base), r))
+    w = min(cpus, selection._MAX_THREADS)
+    assert sorted(lo for lo, who, _ in seen if who == main) == list(range(0, len(base), w * r))
+    if cpus == 1:  # no thread started at all
+        assert all(count == threads_before for _, _, count in seen)
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("where", ["base", "tuned"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_analyze_pair_rejects_non_finite_rows_in_a_pool_block(cpus, bad, where):
+    # block 1 belongs to a pool thread whenever there are two CPUs or more; a
+    # TensorRecord cannot hold the value, so it is put in after the check
+    r = chunk_rows(4)
+    views = {"base": view_of(np.zeros((4 * r + 3, 4))), "tuned": view_of(np.zeros((4 * r + 3, 4)))}
+    views[where].matrix[r + 5, 2] = bad
+    with pytest.raises(ValueError, match="row values must be finite"):
+        analyze_pair(views["base"], views["tuned"])
+
+
+def test_analyze_cli_exits_2_on_non_finite_rows_in_a_pool_block(cpus, tmp_path, monkeypatch, capsys):
+    # a checkpoint cannot hold a NaN, so one is put into the tuned tensor after
+    # the reader has checked it
+    r = chunk_rows(8)
+    matrix = np.ones((4 * r, 8), dtype=np.float32)
+    for name in ("base", "tuned"):
+        write_checkpoint(Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())]),
+                         tmp_path / f"{name}.ckpt")
+    read = cli.read_checkpoint
+
+    def poisoned(path):
+        ckpt = read(path)
+        if path.endswith("tuned.ckpt"):
+            ckpt.tensor("embed").data[(r + 1) * 8 + 3] = np.nan
+        return ckpt
+
+    monkeypatch.setattr(cli, "read_checkpoint", poisoned)
+    out = tmp_path / "scores.csv"
+    argv = ["analyze", "--base", str(tmp_path / "base.ckpt"), "--tuned",
+            str(tmp_path / "tuned.ckpt"), "--tensor", "embed", "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert "row values must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.ckpt", "tuned.ckpt"]
+
+
+def test_analyze_pair_on_more_threads_than_cores_switching_often(monkeypatch):
+    # every pool thread writes its own rows of shared columns: a lost or
+    # misplaced write would leave a row unlike the one-CPU result. The cap is
+    # lifted so that the threads outnumber the cores.
+    rng = np.random.default_rng(9)
+    d = 16
+    base = rng.normal(size=(37 * chunk_rows(d) + 11, d))
+    views = view_of(base), view_of(base + rng.normal(0.0, 0.01, base.shape))
+    monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
+    want = analyze_pair(*views)
+    monkeypatch.setattr(selection, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(selection, "_MAX_THREADS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = analyze_pair(*views)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in METRICS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_analyze_pair_peak_stays_below_one_float64_matrix_on_any_cpu_count(monkeypatch, n):
+    # tracemalloc sees the allocations of every thread
+    monkeypatch.setattr(selection, "_cpu_count", lambda: n)
+    test_analyze_pair_peak_stays_below_one_float64_matrix()
 
 
 def compare_oracle(tuned_a, tuned_b, tickets, alpha):

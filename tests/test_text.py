@@ -13,6 +13,8 @@ from kstickets._text import (
     OPTIONAL_FLOAT,
     OPTIONAL_INT,
     atomic_open,
+    column_lines,
+    fmt_float,
     parse_optional,
     read_csv,
     write_csv,
@@ -71,6 +73,37 @@ def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, "a,b", (f"{i},{i * i}" for i in range(3)))
     assert path.read_bytes() == b"a,b\n0,0\n1,1\n2,4\n"
+
+
+def per_cell_lines(columns):
+    """column_lines' reference: each cell formatted on its own."""
+    n = min(len(col) for col in columns if col is not None)
+    cells = [[""] * n if col is None
+             else [fmt_float(x) if col.dtype.kind == "f" else str(x) for x in col.tolist()[:n]]
+             for col in columns]
+    return [",".join(row) for row in zip(*cells)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_column_lines_match_per_cell_formatting(tmp_path, n):
+    # repeated and distinct floats, -0.0 beside 0.0, non-finite values, float32
+    # and int columns and a blank column, across the write chunk boundaries
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e300, 1 / 3, 1e-9, 0.1])
+    columns = [
+        np.arange(n),
+        rng.normal(size=n),
+        rng.choice(special, n),
+        rng.choice(special[[0, 1, 2, 3, 4, 7, 9]], n).astype(np.float32),
+        None,
+        rng.integers(-(2**62), 2**62, n),
+        np.round(rng.normal(size=n), 2),
+    ]
+    want = per_cell_lines(columns)
+    assert list(column_lines(columns)) == want
+    assert list(column_lines(iter(columns))) == want
+    write_csv(tmp_path / "t.csv", "a,b,c,d,e,f,g", column_lines(columns))
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["a,b,c,d,e,f,g", *want]) + "\n"
 
 
 def test_read_csv_names_path_and_line(tmp_path):
