@@ -54,7 +54,7 @@ from .toytrain import (
     train,
     write_task_csv,
 )
-from .transfer import emit_mask, splice_partial_transfer, write_mask_file
+from .transfer import emit_mask, splice_in_place, write_mask_file
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -175,12 +175,11 @@ def _cmd_mask(args) -> None:
 
 
 def _cmd_transfer(args) -> None:
+    # base is read for this call alone, so its own buffer takes the rows
     base = read_checkpoint(args.base)
     tuned = read_checkpoint(args.tuned)
     tickets = read_ticket_file(args.tickets)
-    write_checkpoint(
-        splice_partial_transfer(base, tuned, args.tensor, tickets), args.out
-    )
+    write_checkpoint(splice_in_place(base, tuned, args.tensor, tickets), args.out)
 
 
 def _cmd_certify(args) -> None:

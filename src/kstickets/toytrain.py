@@ -172,16 +172,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _batch_probs(model: ToyModel, sources) -> np.ndarray:
-    w64 = model.output_weights.astype(np.float64)
-    return _softmax(model.embedding[sources].astype(np.float64) @ w64.T)
+def _distinct_probs(embedding, output_weights, sources) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, probs): one softmax row per distinct source, and each
+    source's row index into probs; Zipf sources repeat, so probs has far
+    fewer rows than there are sources. Float64 weights are used uncopied."""
+    rows, inverse = np.unique(sources, return_inverse=True)
+    w64 = output_weights.astype(np.float64, copy=False)
+    return inverse, _softmax(embedding[rows].astype(np.float64) @ w64.T)
 
 
 def forward(model: ToyModel, source_token: int) -> np.ndarray:
     """Next-token probability vector for one source token."""
     if not 0 <= source_token < model.vocab_size:
         raise ValueError(f"token {source_token} out of range [0, {model.vocab_size})")
-    return _batch_probs(model, [source_token])[0]
+    return _distinct_probs(model.embedding, model.output_weights, [source_token])[1][0]
 
 
 def _grad(probs, src, tgt, w64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,12 +242,11 @@ def train(
             batch = order[start : start + config.batch_size]
             src = task.sources[batch]
             tgt = task.targets[batch]
-            e64 = emb[src].astype(np.float64)
-            probs = _softmax(e64 @ w64.T)
-            epoch_loss += float(-np.log(probs[np.arange(batch.size), tgt]).sum())
-            delta, rows, grad = _grad(probs, src, tgt, w64)
+            inverse, probs = _distinct_probs(emb, w64, src)
+            epoch_loss += float(-np.log(probs[inverse, tgt]).sum())
+            delta, rows, grad = _grad(probs[inverse], src, tgt, w64)
             if config.mode == "full":
-                out = (w64 - lr * (delta.T @ e64)).astype(np.float32)
+                out = (w64 - lr * (delta.T @ emb[src].astype(np.float64))).astype(np.float32)
                 w64 = out.astype(np.float64)
             keep = trainable[rows]
             rows = rows[keep]
@@ -256,9 +259,8 @@ def evaluate(model: ToyModel, task: SyntheticTask) -> float:
     """Fraction of pairs predicted exactly; argmax ties go to the lowest id."""
     if task.n_pairs == 0:
         raise ValueError("task has no pairs")
-    probs = _batch_probs(model, task.sources)
-    preds = np.argmax(probs, axis=1)
-    return float((preds == task.targets).mean())
+    inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
+    return float((np.argmax(probs, axis=1)[inverse] == task.targets).mean())
 
 
 def _top2(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,13 +289,15 @@ def emit_prediction_log(
     if task.n_pairs == 0:
         raise ValueError("task has no pairs")
 
-    tuned_pred, p1, p2 = _top2(_batch_probs(tuned_model, task.sources))
-    partial_pred = None
-    if partial_model is not None:
-        partial_pred = np.argmax(_batch_probs(partial_model, task.sources), axis=1)
+    def top2(model):  # _top2 per distinct source, gathered back to pair order
+        inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
+        return [col[inverse] for col in _top2(probs)]
+
+    tuned_pred, p1, p2 = top2(tuned_model)
+    partial_pred = None if partial_model is None else top2(partial_model)[0]
     base_p1 = base_p2 = None
     if base_model is not None:
-        _, base_p1, base_p2 = _top2(_batch_probs(base_model, task.sources))
+        _, base_p1, base_p2 = top2(base_model)
 
     i = np.arange(task.n_pairs)
     return PredictionLog(

@@ -14,6 +14,7 @@ from .selection import WinningTicketSet
 
 __all__ = [
     "splice_partial_transfer",
+    "splice_in_place",
     "emit_mask",
     "diff_rows",
     "write_mask_file",
@@ -28,22 +29,30 @@ def splice_partial_transfer(
 ) -> Checkpoint:
     """Copy ticket rows of tensor_name from tuned into base, bit-exactly.
 
-    Every other byte of every tensor comes from base unchanged.
+    Every other byte of every tensor comes from base unchanged; base itself is
+    left as it was.
     """
+    copy = Checkpoint([TensorRecord(t.name, t.shape, t.data.copy()) for t in base.tensors])
+    return splice_in_place(copy, tuned, tensor_name, tickets)
+
+
+def splice_in_place(
+    base: Checkpoint,
+    tuned: Checkpoint,
+    tensor_name: str,
+    tickets: WinningTicketSet,
+) -> Checkpoint:
+    """splice_partial_transfer without the copy: overwrite the ticket rows of
+    base's own (writable) tensor_name with tuned's, and return base."""
     v, d = validate_pair(base, tuned, tensor_name)
     if tickets.vocab_size != v:
         raise ValueError(
             f"ticket vocab_size {tickets.vocab_size} does not match tensor rows {v}"
         )
     ids = list(tickets.token_ids)
-    out = []
-    for t in base.tensors:
-        data = t.data.copy()
-        if t.name == tensor_name and ids:
-            m = data.reshape(v, d)
-            m[ids] = tuned.tensor(tensor_name).data.reshape(v, d)[ids]
-        out.append(TensorRecord(t.name, t.shape, data))
-    return Checkpoint(out)
+    rows = base.tensor(tensor_name).data.reshape(v, d)
+    rows[ids] = tuned.tensor(tensor_name).data.reshape(v, d)[ids]
+    return base
 
 
 def emit_mask(tickets: WinningTicketSet, complement: bool = False) -> np.ndarray:
@@ -69,4 +78,6 @@ def diff_rows(a: Checkpoint, b: Checkpoint, tensor_name: str) -> set[int]:
 
 def write_mask_file(trainable: np.ndarray, path) -> None:
     """One line per row: 1 if trainable, 0 if frozen."""
-    write_text(path, "".join("1\n" if t else "0\n" for t in trainable))
+    lines = np.full((len(trainable), 2), ord("\n"), dtype=np.uint8)
+    lines[:, 0] = ord("0") + np.asarray(trainable, dtype=bool)
+    write_text(path, lines.tobytes().decode("ascii"))

@@ -601,13 +601,13 @@ def test_analyze_pair_matches_score_row_on_small_integers(rows):
 def test_analyze_pair_keeps_score_row_errors():
     with pytest.raises(ValueError, match="at least 2"):
         analyze_pair(view_of(np.zeros((3, 1))), view_of(np.zeros((3, 1))))
+    # a TensorRecord cannot hold the value, so it is put in after the check
     for bad in (np.inf, -np.inf, np.nan):
-        tuned = np.zeros((chunk_rows(4) + 5, 4))
-        tuned[-1, 2] = bad
-        with pytest.raises(ValueError, match="must be finite"):
-            analyze_pair(view_of(np.zeros_like(tuned)), view_of(tuned))
-        with pytest.raises(ValueError, match="must be finite"):
-            analyze_pair(view_of(tuned), view_of(np.zeros_like(tuned)))
+        for side in (0, 1):
+            views = [view_of(np.zeros((chunk_rows(4) + 5, 4))) for _ in range(2)]
+            views[side].matrix[-1, 2] = bad
+            with pytest.raises(ValueError, match="row values must be finite"):
+                analyze_pair(*views)
 
 
 def test_analyze_pair_peak_stays_below_one_float64_matrix():

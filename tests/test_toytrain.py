@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstickets.selection import WinningTicketSet
 from kstickets.toytrain import (
     EXAMPLE_GROUP,
+    TRAIN_MODES,
     SyntheticTask,
     ToyModel,
     TrainConfig,
@@ -254,6 +257,75 @@ def test_prediction_log_peak_is_one_probability_matrix():
     assert peak <= 1.5 * task.n_pairs * 4096 * 8
 
 
+def test_prediction_log_peak_scales_with_distinct_sources():
+    """Each model scores its distinct sources once: a log of three models peaks
+    near one distinct x V float64 matrix plus a float64 copy of the output weights."""
+    v, d = 8192, 64
+    task, models = generate_task(7, v, 2000, 1.8), [init_model(s, v, d) for s in (1, 2, 3)]
+    distinct = np.unique(task.sources).size
+    tracemalloc.start()
+    try:
+        emit_prediction_log(*models, task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * distinct * v * 8 + v * d * 8 + (1 << 20)
+
+
+def dense_log_columns(model, sources):
+    """(prediction, p1, p2) with every source row scored, the way the log was
+    built before distinct sources were scored once: its bit-for-bit oracle."""
+    w64 = model.output_weights.astype(np.float64)
+    return _top2(_softmax(model.embedding[sources].astype(np.float64) @ w64.T))
+
+
+@pytest.mark.parametrize("v", [256, 8192])
+def test_prediction_log_matches_dense_oracle(v):
+    # OpenBLAS rows can depend on the row count of a product; at d=64 the
+    # distinct-source product and the dense one agree bit for bit here
+    for seed in (1, 2, 3):
+        task = generate_task(seed, v, 1000, 1.8)
+        tuned, partial, base = (init_model(seed + k, v, 64) for k in range(3))
+        log = emit_prediction_log(tuned, partial, base, task)
+        got = {
+            "tuned": (log.tuned_prediction, log.p1, log.p2),
+            "partial": (log.partial_prediction,),
+            "base": (log.base_p1, log.base_p2),
+        }
+        want = {
+            "tuned": dense_log_columns(tuned, task.sources),
+            "partial": dense_log_columns(partial, task.sources)[:1],
+            "base": dense_log_columns(base, task.sources)[1:],
+        }
+        for name in got:
+            for g, w in zip(got[name], want[name]):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, seed)
+
+
+@settings(max_examples=30)
+@given(
+    v=st.integers(2, 300),
+    d=st.sampled_from([1, 6, 64, 768]),
+    n=st.integers(1, 120),
+    distinct=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_records_of_one_source_share_their_columns(v, d, n, distinct, seed):
+    # holds at every shape, whatever row count the products run at
+    rng = np.random.default_rng(seed)
+    pool = rng.choice(v, size=min(distinct, v), replace=False)
+    sources = rng.choice(pool, size=n)
+    task = SyntheticTask(vocab_size=v, sources=sources, targets=np.zeros(n, dtype=np.int64))
+    log = emit_prediction_log(*(init_model(seed + k, v, d) for k in range(3)), task)
+    columns = (log.tuned_prediction, log.p1, log.p2, log.partial_prediction,
+               log.base_p1, log.base_p2)
+    for s in np.unique(sources):
+        at = sources == s
+        for col in columns:
+            bits = col[at].view(np.int64)
+            assert (bits == bits[0]).all()
+
+
 def top2_oracle(probs):
     """The stable-argsort top-2 that _top2 replaces: its bit-for-bit oracle."""
     order = np.argsort(-probs, axis=1, kind="stable")
@@ -283,9 +355,10 @@ def _softmax_oracle(logits):
 
 
 def dense_train_oracle(model, task, config):
-    """The dense-gradient training loop that train replaces: its bit-for-bit oracle.
+    """The dense training loop that train replaces: its bit-for-bit oracle.
 
-    Every step builds a [V, d] gradient and rewrites every trainable row.
+    Every step runs the softmax over every batch row, builds a [V, d] gradient
+    and rewrites every trainable row.
     """
     emb = model.embedding.copy()
     out = model.output_weights.copy()
@@ -349,6 +422,18 @@ def test_train_matches_dense_oracle(mode, v):
             config = TrainConfig(mode=mode, tickets=tickets, learning_rate=0.5,
                                  epochs=2, seed=seed, batch_size=batch_size)
             assert_same_training(model, task, config)
+
+
+@pytest.mark.parametrize("v", [256, 8192])
+@pytest.mark.parametrize("mode", TRAIN_MODES)
+def test_train_matches_dense_oracle_at_pipeline_sizes(mode, v):
+    # d=64, Zipf 1.8 and batches of 32, as in the toy pipeline and the
+    # benchmark: train scores a batch's distinct sources once, the oracle
+    # every batch row
+    for seed in (1, 2, 3):
+        task, model = generate_task(seed, v, 500, 1.8), init_model(seed, v, 64)
+        config = TrainConfig(mode=mode, tickets=oracle_tickets(seed, v), epochs=1, seed=seed)
+        assert_same_training(model, task, config)
 
 
 @pytest.mark.parametrize("mode", ["full", "embed", "partial", "frozen_complement"])

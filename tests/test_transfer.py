@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstickets.checkpoint import Checkpoint, TensorRecord
-from kstickets.selection import WinningTicketSet
+from kstickets.checkpoint import Checkpoint, TensorRecord, write_checkpoint
+from kstickets.cli import run
+from kstickets.selection import WinningTicketSet, write_ticket_file
 from kstickets.transfer import (
     diff_rows,
     emit_mask,
+    splice_in_place,
     splice_partial_transfer,
     write_mask_file,
 )
@@ -102,6 +106,44 @@ class TestSplice:
         assert diff_rows(out, base, "embed") == set(ids)
 
 
+class TestSpliceInPlace:
+    def test_matches_the_copying_splice(self):
+        base, tuned = pair_differing_everywhere()
+        tickets = tickets_of([0, 2])
+        want = splice_partial_transfer(base, tuned, "embed", tickets)
+        got = splice_in_place(base, tuned, "embed", tickets)
+        assert got is base
+        for name in ("embed", "other"):
+            assert got.tensor(name).data.tobytes() == want.tensor(name).data.tobytes()
+
+    def test_checks_before_writing(self):
+        base, tuned = pair_differing_everywhere()
+        before = base.tensor("embed").data.tobytes()
+        with pytest.raises(ValueError, match="vocab_size"):
+            splice_in_place(base, tuned, "embed", tickets_of([0], v=9))
+        assert base.tensor("embed").data.tobytes() == before
+
+    def test_cli_transfer_peaks_below_three_tensors(self, tmp_path):
+        # the base tensor read for the call takes the rows: the peak holds base,
+        # tuned and the gathered third of the rows, but no copy of base
+        v, d = 4096, 64
+        rng = np.random.default_rng(0)
+        for name in ("base", "tuned"):
+            m = rng.standard_normal((v, d), dtype=np.float32)
+            write_checkpoint(Checkpoint([TensorRecord("embed", (v, d), m.ravel())]),
+                             tmp_path / f"{name}.ckpt")
+        write_ticket_file(tickets_of(range(0, v, 3), v=v), tmp_path / "tickets.txt")
+        argv = ["transfer", "--base", tmp_path / "base.ckpt", "--tuned", tmp_path / "tuned.ckpt",
+                "--tensor", "embed", "--tickets", tmp_path / "tickets.txt", "--out", tmp_path / "out.ckpt"]
+        tracemalloc.start()
+        try:
+            assert run([str(a) for a in argv]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * v * d * 4
+
+
 class TestEmitMask:
     def test_plain(self):
         mask = emit_mask(tickets_of([0, 2]))
@@ -119,6 +161,13 @@ class TestEmitMask:
         path = tmp_path / "mask.txt"
         write_mask_file(emit_mask(tickets_of([1, 3])), path)
         assert path.read_text() == "0\n1\n0\n1\n"
+
+    @pytest.mark.parametrize("v", [1, 4096, 4097])
+    def test_mask_file_matches_the_per_row_join(self, tmp_path, v):
+        for trainable in (np.random.default_rng(v).random(v) < 0.3, np.zeros(v, bool), np.ones(v, bool)):
+            write_mask_file(trainable, tmp_path / "mask.txt")
+            want = "".join("1\n" if t else "0\n" for t in trainable)
+            assert (tmp_path / "mask.txt").read_bytes() == want.encode("ascii")
 
 
 class TestDiffRows:
