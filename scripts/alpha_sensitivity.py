@@ -59,7 +59,7 @@ def main():
             view_of(partial_model.embedding),
             view_of(embed_model.embedding),
             tickets,
-            alpha if alpha < 1.0 else 0.05,
+            alpha,
         )
         print(f"{alpha:>6.2f} {report.tau:>8.4f} {len(tickets):>8d} "
               f"{report.certified_accuracy:>10.4f} {report.tuned_accuracy:>8.4f} "

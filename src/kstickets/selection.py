@@ -28,7 +28,6 @@ from ._text import (
 from .checkpoint import EmbeddingView
 from .ksstat import (
     Sample,
-    ks_critical_value,
     ks_pvalue_asymptotic,
     ks_statistic,
     ks_statistic_rows,
@@ -395,14 +394,13 @@ def compare_ticket_distributions(
             f"ticket vocab_size {tickets.vocab_size} does not match "
             f"matrix rows {tuned_a.vocab_size}"
         )
+    tau = ks_tau(alpha, am.shape[1])
     if not tickets.token_ids:
         return 1.0
     ids = np.array(tickets.token_ids)
-    d = am.shape[1]
-    tau = ks_critical_value(alpha, d, d)
     rejected = sum(
         int(np.count_nonzero(ks_statistic_rows(am[ids[block]], bm[ids[block]]) > tau))
-        for block in _blocks(ids.size, d)
+        for block in _blocks(ids.size, am.shape[1])
     )
     return 1.0 - rejected / ids.size
 

@@ -172,36 +172,35 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _distinct_probs(embedding, output_weights, sources) -> tuple[np.ndarray, np.ndarray]:
-    """(inverse, probs): one softmax row per distinct source, and each
-    source's row index into probs; Zipf sources repeat, so probs has far
-    fewer rows than there are sources. Float64 weights are used uncopied."""
+def _distinct_probs(embedding, output_weights, sources) -> tuple[np.ndarray, ...]:
+    """(rows, inverse, probs): the distinct sources, each source's index into
+    rows, and one softmax row per distinct source (Zipf sources repeat, so
+    there are few). Float64 weights are used uncopied."""
     rows, inverse = np.unique(sources, return_inverse=True)
     w64 = output_weights.astype(np.float64, copy=False)
-    return inverse, _softmax(embedding[rows].astype(np.float64) @ w64.T)
+    return rows, inverse, _softmax(embedding[rows].astype(np.float64) @ w64.T)
 
 
 def forward(model: ToyModel, source_token: int) -> np.ndarray:
     """Next-token probability vector for one source token."""
     if not 0 <= source_token < model.vocab_size:
         raise ValueError(f"token {source_token} out of range [0, {model.vocab_size})")
-    return _distinct_probs(model.embedding, model.output_weights, [source_token])[1][0]
+    return _distinct_probs(model.embedding, model.output_weights, [source_token])[2][0]
 
 
-def _grad(probs, src, tgt, w64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean cross-entropy gradient of a batch: (delta, rows, grad).
+def _grad(probs, rows, inverse, tgt, w64) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy gradient of a batch: (delta, grad).
 
-    delta is probs minus the one-hot targets over the batch size (probs is
-    overwritten); rows are the unique source rows the batch reads and grad[k]
-    is row rows[k]'s gradient, summed in batch order.
+    delta is probs (one row per pair, overwritten) minus the one-hot targets
+    over the batch size; grad[k] is row rows[k]'s gradient, the pairs that
+    inverse maps to k summed in batch order.
     """
     delta = probs
-    delta[np.arange(src.size), tgt] -= 1.0
-    delta /= src.size
-    rows, inverse = np.unique(src, return_inverse=True)
+    delta[np.arange(tgt.size), tgt] -= 1.0
+    delta /= tgt.size
     grad = np.zeros((rows.size, w64.shape[1]))
     np.add.at(grad, inverse, delta @ w64)
-    return delta, rows, grad
+    return delta, grad
 
 
 def train(
@@ -242,9 +241,9 @@ def train(
             batch = order[start : start + config.batch_size]
             src = task.sources[batch]
             tgt = task.targets[batch]
-            inverse, probs = _distinct_probs(emb, w64, src)
+            rows, inverse, probs = _distinct_probs(emb, w64, src)
             epoch_loss += float(-np.log(probs[inverse, tgt]).sum())
-            delta, rows, grad = _grad(probs[inverse], src, tgt, w64)
+            delta, grad = _grad(probs[inverse], rows, inverse, tgt, w64)
             if config.mode == "full":
                 out = (w64 - lr * (delta.T @ emb[src].astype(np.float64))).astype(np.float32)
                 w64 = out.astype(np.float64)
@@ -259,7 +258,7 @@ def evaluate(model: ToyModel, task: SyntheticTask) -> float:
     """Fraction of pairs predicted exactly; argmax ties go to the lowest id."""
     if task.n_pairs == 0:
         raise ValueError("task has no pairs")
-    inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
+    _, inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
     return float((np.argmax(probs, axis=1)[inverse] == task.targets).mean())
 
 
@@ -290,7 +289,7 @@ def emit_prediction_log(
         raise ValueError("task has no pairs")
 
     def top2(model):  # _top2 per distinct source, gathered back to pair order
-        inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
+        _, inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
         return [col[inverse] for col in _top2(probs)]
 
     tuned_pred, p1, p2 = top2(tuned_model)

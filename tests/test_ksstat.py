@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +239,67 @@ class TestPermutationPvalue:
             asym = ks_pvalue_asymptotic(ks_statistic(a, b), 256, 256)
             perm = ks_pvalue_permutation(a, b, 20000, seed=9)
             assert abs(asym - perm) <= 0.03
+
+
+def exact_equal_size_pvalue(k: int, d: int) -> float:
+    """P(D >= k/d) for n = m = d without ties, Gnedenko & Korolyuk (1951):
+    2 * sum_{j>=1} (-1)^(j-1) C(2d, d-jk) / C(2d, d), in integers."""
+    num = sum((-1) ** (j - 1) * math.comb(2 * d, d - j * k) for j in range(1, d // k + 1))
+    return 2 * num / math.comb(2 * d, d)
+
+
+def assert_within_4_sd(estimate: float, p: float, trials: int) -> None:
+    """The estimate (1 + hits) / (trials + 1) against its mean and SD under p."""
+    mean = (1 + trials * p) / (trials + 1)
+    sd = math.sqrt(trials * p * (1 - p)) / (trials + 1)
+    assert abs(estimate - mean) <= 4 * sd, (estimate, p)
+
+
+def shifted_grid(k: int, d: int) -> tuple[Sample, Sample]:
+    """Two tie-free samples of size d whose statistic is exactly k/d."""
+    return Sample(np.arange(d)), Sample(np.arange(d) + k - 0.5)
+
+
+class TestPermutationMatchesExactNull:
+    @pytest.mark.parametrize("d,k", [(5, 2), (16, 5), (32, 10), (64, 13)])
+    def test_equal_size_no_ties(self, d, k):
+        a, b = shifted_grid(k, d)
+        assert ks_statistic(a, b) == k / d
+        p = exact_equal_size_pvalue(k, d)
+        assert_within_4_sd(ks_pvalue_permutation(a, b, 50_000, seed=d), p, 50_000)
+
+    @pytest.mark.parametrize("d,k", [(5, 2), (16, 5), (32, 10), (64, 13)])
+    def test_exact_null_matches_scipy(self, d, k):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = shifted_grid(k, d)
+        want = stats.ks_2samp(a.values, b.values, method="exact").pvalue
+        assert abs(exact_equal_size_pvalue(k, d) - want) <= 1e-16
+
+    def test_tied_pool_matches_full_enumeration(self):
+        a, b = Sample([0, 0, 1, 2, 2]), Sample([1, 1, 2, 3, 3])
+        observed = ks_statistic(a, b)
+        pool = np.concatenate([a.values, b.values])
+        splits = list(itertools.combinations(range(10), 5))
+        assert len(splits) == 252
+        hits = 0
+        for chosen in splits:
+            mask = np.zeros(10, dtype=bool)
+            mask[list(chosen)] = True
+            hits += ks_statistic(Sample(pool[mask]), Sample(pool[~mask])) >= observed
+        assert 0 < hits < 252
+        assert_within_4_sd(ks_pvalue_permutation(a, b, 50_000, seed=5), hits / 252, 50_000)
+
+    def test_memory_is_linear_in_trials(self):
+        # a (trials, n+m) membership matrix alone would be 10 MB of bools
+        rng = np.random.default_rng(0)
+        a, b = Sample(rng.normal(size=256)), Sample(rng.normal(0.2, size=256))
+        tracemalloc.start()
+        try:
+            ks_pvalue_permutation(a, b, 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestTwoSampleTest:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kstickets import cli, selection
 from kstickets._text import fmt_float
 from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding, write_checkpoint
-from kstickets.ksstat import Sample, ks_pvalue_permutation, ks_tau, ks_two_sample_test
+from kstickets.ksstat import Sample, ks_pvalue_permutation, ks_statistic, ks_tau
 from kstickets.selection import (
     _CHUNK_ELEMENTS,
     METRICS,
@@ -746,11 +746,12 @@ def test_analyze_pair_peak_stays_below_one_float64_matrix_on_any_cpu_count(monke
 
 
 def compare_oracle(tuned_a, tuned_b, tickets, alpha):
-    """compare_ticket_distributions as a per-ticket ks_two_sample_test loop."""
+    """compare_ticket_distributions as a per-ticket ks_statistic loop."""
     if not tickets.token_ids:
         return 1.0
+    tau = ks_tau(alpha, tuned_a.matrix.shape[1])
     rejected = sum(
-        ks_two_sample_test(Sample(tuned_a.matrix[i]), Sample(tuned_b.matrix[i]), alpha).reject
+        ks_statistic(Sample(tuned_a.matrix[i]), Sample(tuned_b.matrix[i])) > tau
         for i in tickets.token_ids
     )
     return 1.0 - rejected / len(tickets.token_ids)
@@ -766,9 +767,12 @@ def test_compare_ticket_distributions_matches_per_ticket_oracle(d):
     for size in (1, v // 3, v):
         ids = tuple(np.sort(rng.choice(v, size, replace=False)).tolist())
         tickets = WinningTicketSet(method="ks", vocab_size=v, token_ids=ids)
-        for alpha in (1e-6, 0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.999999):
+        for alpha in (1e-6, 0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.999999, 1.0):
             want = compare_oracle(a, b, tickets, alpha)
             assert compare_ticket_distributions(a, b, tickets, alpha) == want
-    for alpha in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="alpha"):
-            compare_ticket_distributions(a, b, tickets, alpha)
+    empty = WinningTicketSet(method="ks", vocab_size=v, token_ids=())
+    assert compare_ticket_distributions(a, b, empty, 1.0) == 1.0
+    for alpha in (0.0, -0.5, 1.5):
+        for t in (tickets, empty):  # a bad alpha is refused even with no tickets
+            with pytest.raises(ValueError, match="alpha"):
+                compare_ticket_distributions(a, b, t, alpha)

@@ -478,7 +478,8 @@ def grad_check(model, task, epsilon=1e-4):
     w64 = model.output_weights.astype(np.float64)
     emb64 = model.embedding.astype(np.float64)
     d = emb64.shape[1]
-    _, rows, grad = _grad(_softmax(emb64[src] @ w64.T), src, tgt, w64)
+    rows, inverse = np.unique(src, return_inverse=True)
+    _, grad = _grad(_softmax(emb64[src] @ w64.T), rows, inverse, tgt, w64)
 
     def loss_at(e):
         p = _softmax(e[src] @ w64.T)
