@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._text import atomic_open
+from ._text import Column, atomic_open, read_csv
 
 __all__ = [
     "CheckpointError",
@@ -226,37 +226,14 @@ def validate_pair(
 
 def import_csv_matrix(path, tensor_name: str) -> Checkpoint:
     """Build a single-tensor checkpoint from a headerless numeric CSV."""
-    rows: list[list[float]] = []
-    ncols = 0
+    cell = Column(np.float64, valid=np.isfinite, invalid="non-finite cell {}")
     try:
-        fh = open(path, "r", encoding="utf-8")
+        columns = read_csv(path, None, cell, "matrix")
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            cells = raw.rstrip("\n").split(",")
-            if rows and len(cells) != ncols:
-                raise CheckpointError(
-                    f"{path}: ragged row at line {lineno} "
-                    f"({len(cells)} columns, expected {ncols})"
-                )
-            values = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise CheckpointError(
-                        f"{path}: non-numeric cell at line {lineno}, column {col}: "
-                        f"{cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise CheckpointError(
-                        f"{path}: non-finite cell at line {lineno}, column {col}"
-                    )
-                values.append(v)
-            ncols = len(values)
-            rows.append(values)
-    if not rows:
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
+    if not len(columns[0]):
         raise CheckpointError(f"{path}: no rows")
-    data = np.asarray(rows, dtype=np.float32).reshape(-1)
-    return Checkpoint([TensorRecord(tensor_name, (len(rows), ncols), data)])
+    data = np.column_stack(columns).astype(np.float32)
+    return Checkpoint([TensorRecord(tensor_name, data.shape, data)])

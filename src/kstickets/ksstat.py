@@ -122,17 +122,22 @@ def ks_critical_value(alpha: float, n: int, m: int) -> float:
     return c * math.sqrt((n + m) / (n * m))
 
 
+def _tau(alpha: float, n: int, m: int) -> float:
+    """ks_critical_value for alpha in (0, 1], with the convention tau(1) = 0."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    return 0.0 if alpha == 1.0 else ks_critical_value(alpha, n, m)
+
+
 def ks_tau(alpha: float, d: int) -> float:
     """Per-row threshold tau(alpha) with n = m = d, and the convention tau(1) = 0.
 
     The package's one rejection rule is D > tau, for selection and certification
     alike; at alpha = 1 every distributional change (D > 0) rejects.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if d < 2:
         raise ValueError("d must be >= 2")
-    return 0.0 if alpha == 1.0 else ks_critical_value(alpha, d, d)
+    return _tau(alpha, d, d)
 
 
 def ks_pvalue_asymptotic(statistic: float, n: int, m: int) -> float:
@@ -206,9 +211,9 @@ def ks_pvalue_permutation(a: Sample, b: Sample, trials: int, seed: int) -> float
 
 
 def ks_two_sample_test(a: Sample, b: Sample, alpha: float) -> KsResult:
-    """Bundle statistic, threshold, asymptotic p-value, and the reject flag."""
+    """Statistic, threshold (alpha in (0, 1], tau(1) = 0), asymptotic p-value, D > tau."""
     d = ks_statistic(a, b)
-    tau = ks_critical_value(alpha, a.n, b.n)
+    tau = _tau(alpha, a.n, b.n)
     p = ks_pvalue_asymptotic(d, a.n, b.n)
     return KsResult(
         statistic=d, p_value=p, n=a.n, m=b.n, tau=tau, alpha=alpha, reject=d > tau

@@ -415,7 +415,10 @@ def read_scores_csv(path) -> ScoreTable:
     parsers = (INT, *[FLOAT] * len(METRICS), OPTIONAL_INT)
     *columns, freq = read_csv(path, SCORES_HEADER, parsers, "scores")
     blank = blank_cells(freq, len(columns[0])).any()
-    return ScoreTable(*columns, frequency=None if blank else freq)
+    try:
+        return ScoreTable(*columns, frequency=None if blank else freq)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_ticket_file(tickets: WinningTicketSet, path) -> None:
@@ -452,11 +455,13 @@ def read_ticket_file(path) -> WinningTicketSet:
     if missing:
         raise ValueError(f"{path}: ticket file missing fields {missing}")
     ids_text = fields["token_ids"].strip()
-    ids = tuple(int(i) for i in ids_text.split(",")) if ids_text else ()
-    return WinningTicketSet(
-        method=fields["method"].strip(),
-        alpha=parse_optional(fields["alpha"], float),
-        tau=parse_optional(fields["tau"], float),
-        vocab_size=int(fields["vocab_size"]),
-        token_ids=ids,
-    )
+    try:
+        return WinningTicketSet(
+            method=fields["method"].strip(),
+            alpha=parse_optional(fields["alpha"], float),
+            tau=parse_optional(fields["tau"], float),
+            vocab_size=int(fields["vocab_size"]),
+            token_ids=ids_text.split(",") if ids_text else (),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import INT, column_lines, read_csv, write_csv
+from ._text import Column, column_lines, read_csv, write_csv
 from .certify import PredictionLog
 from .checkpoint import Checkpoint, TensorRecord
 from .selection import WinningTicketSet
@@ -321,7 +321,9 @@ def write_task_csv(task: SyntheticTask, path) -> None:
 
 
 def read_task_csv(path, vocab_size: int) -> SyntheticTask:
-    sources, targets = read_csv(path, TASK_HEADER, (INT, INT), "task")
+    ids = [Column(np.int64, valid=lambda i: (0 <= i) & (i < vocab_size),
+                  invalid=f"{label} id {{}} outside [0, {vocab_size})") for label in ("source", "target")]
+    sources, targets = read_csv(path, TASK_HEADER, ids, "task")
     if not len(sources):
         raise ValueError(f"{path}: no pairs")
     return SyntheticTask(vocab_size=vocab_size, sources=sources, targets=targets)

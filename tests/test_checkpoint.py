@@ -343,7 +343,7 @@ class TestCsvImport:
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,x\n")
-        with pytest.raises(CheckpointError, match="line 2, column 2"):
+        with pytest.raises(CheckpointError, match=f"{path}: bad matrix row at line 2: .*'x'"):
             import_csv_matrix(path, "m")
 
     def test_empty(self, tmp_path):

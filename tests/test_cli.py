@@ -460,11 +460,15 @@ LOG_HEADER = (
          ["certify", "--log", "{bad}", "--dim", "4", "--alpha", "0.05", "--out", "{out}"]),
         ("task", "source,target\n0,1\n2,q\n",
          ["toy", "eval", "--model", "{ckpt}", "--task", "{bad}", "--out", "{out}"]),
+        ("task", "source,target\n0,1\n2,9\n",
+         ["toy", "train", "--model", "{ckpt}", "--task", "{bad}", "--mode", "embed",
+          "--out", "{out}"]),
         ("counts", "token_id,count\n0,1\n1,1.5\n",
          ["analyze", "--base", "{ckpt}", "--tuned", "{ckpt}", "--tensor", "embedding",
           "--freq", "{bad}", "--out", "{out}"]),
     ],
-    ids=["scores", "log", "log-p1-below-p2", "log-half-blank-base", "task", "counts"],
+    ids=["scores", "log", "log-p1-below-p2", "log-half-blank-base", "task",
+         "task-id-outside-vocab", "counts"],
 )
 def test_malformed_cell_names_path_and_line(tmp_path, capsys, what, text, argv):
     ckpt = tmp_path / "model.ckpt"
@@ -517,6 +521,26 @@ def test_malformed_ticket_file_exits_two(tmp_path, capsys, extra):
     code = run(["mask", "--tickets", str(tickets), "--out", str(tmp_path / "m.txt")])
     assert code == 2
     assert f"{tickets}: bad ticket row at line 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, reason",
+    [("tickets.txt", "method=ks\nalpha=\ntau=\nvocab_size=8\ntoken_ids=3,1\n",
+      ["mask", "--tickets"], "token_ids must be strictly ascending"),
+     ("tickets.txt", "method=ks\nalpha=\ntau=\nvocab_size=8\ntoken_ids=3,x\n",
+      ["mask", "--tickets"], "invalid literal for int() with base 10: 'x'"),
+     ("scores.csv", "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency\n"
+      "1,0,1,1,0,0,1,0,\n", ["select", "--method", "cos", "--top-k", "1", "--scores"],
+      "scores must cover token ids 0..V-1 exactly once")],
+    ids=["tickets-descending", "tickets-non-integer", "scores-missing-id"],
+)
+def test_table_errors_name_the_file(tmp_path, capsys, name, text, argv, reason):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out.txt"
+    assert run([*argv, str(path), "--out", str(out)]) == 2
+    assert f"error: {path}: {reason}\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_checkpoint_with_trailing_bytes_exits_two(tmp_path, capsys):

@@ -325,6 +325,17 @@ class TestTwoSampleTest:
         assert res.tau == pytest.approx(0.240071, abs=1e-5)
         assert res.reject
 
+    def test_alpha_one_rejects_every_change(self):
+        # ks_tau's convention tau(1) = 0, at any sample sizes
+        res = ks_two_sample_test(Sample([1, 2, 3]), Sample([1, 2, 4]), 1.0)
+        assert res.tau == 0.0 and res.reject
+        assert not ks_two_sample_test(Sample([1, 2]), Sample([2, 1, 1, 2]), 1.0).reject
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+    def test_alpha_domain_is_ks_taus(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            ks_two_sample_test(Sample([1, 2, 3]), Sample([1, 2, 4]), alpha)
+
     def test_reject_flag_consistent(self):
         res = ks_two_sample_test(Sample([1, 2, 3]), Sample([1.5, 2.5, 9]), 0.2)
         assert res.reject == (res.statistic > res.tau)

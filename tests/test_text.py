@@ -20,9 +20,10 @@ from kstickets._text import (
     write_csv,
     write_text,
 )
-from kstickets.certify import PredictionLog, read_prediction_log, write_prediction_log
+from kstickets.certify import LOG_HEADER, PredictionLog, read_prediction_log, write_prediction_log
+from kstickets.checkpoint import CheckpointError, import_csv_matrix
 from kstickets.cli import _read_corpus, _read_counts_csv, run
-from kstickets.selection import ScoreTable, read_scores_csv, write_scores_csv
+from kstickets.selection import SCORES_HEADER, ScoreTable, read_scores_csv, write_scores_csv
 from kstickets.toytrain import read_task_csv
 
 
@@ -110,14 +111,14 @@ def test_read_csv_names_path_and_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n3,x\n")
     with pytest.raises(ValueError, match=rf"{path}: bad pairs row at line 3: .*'x'"):
-        read_csv(path, "a,b", (int, int), "pairs")
+        read_csv(path, "a,b", (INT, INT), "pairs")
 
 
 def test_read_csv_cell_count_comes_from_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2,3\n")
     with pytest.raises(ValueError, match="line 2: 3 cells, expected 2"):
-        read_csv(path, "a,b", (str, str), "pairs")
+        read_csv(path, "a,b", (INT, INT), "pairs")
 
 
 def test_parse_optional():
@@ -129,14 +130,14 @@ def test_parse_optional():
 def test_read_csv_returns_columns_and_names_the_first_bad_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n3,4\n")
-    assert read_csv(path, "a,b", (int, float), "pairs") == [[1, 3], [2.0, 4.0]]
+    assert [c.tolist() for c in read_csv(path, "a,b", (INT, FLOAT), "pairs")] == [[1, 3], [2.0, 4.0]]
     path.write_text("a,b\n")
-    assert read_csv(path, "a,b", (int, int), "pairs") == [[], []]
+    assert read_csv(path, "a,b", (INT, INT), "pairs") == [[], []]
     for text, line in (("a,b\n1,2\n3\n5,x\n", 3), ("a,b\n1,2\n5,x\n3\n", 3),
                        ("a,b\nx,2\n1,2,3\n", 2), ("a,b\n1,2\n\n", 3)):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"{path}: bad pairs row at line {line}: "):
-            read_csv(path, "a,b", (int, int), "pairs")
+            read_csv(path, "a,b", (INT, INT), "pairs")
 
 
 # The C parser (numpy) must give Python's answer or hand the file to Python's
@@ -218,6 +219,60 @@ def test_c_parser_gives_pythons_answer_on_one_column(tmp_path, monkeypatch, body
     fast = outcome(read)
     monkeypatch.setattr(_text, "_c_columns", lambda *args: None)
     assert fast == outcome(read)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=map(repr, CELLS))
+def test_matrix_c_parser_gives_pythons_answer(tmp_path, monkeypatch, cell):
+    # the headerless reader: the cell in each column, in the first row (which
+    # sets the cell count) and in the second
+    path = tmp_path / "m.csv"
+
+    def read():
+        try:
+            tensor = import_csv_matrix(path, "m").tensor("m")
+        except CheckpointError as exc:
+            return str(exc)
+        return tensor.shape, tensor.data.tobytes()
+
+    bodies = [f"{with_cell(j, cell)}\n{','.join(ROW)}\n" for j in range(4)]
+    bodies += [f"{','.join(ROW)}\n{with_cell(j, cell)}\n" for j in range(4)]
+    fast = []
+    for body in bodies:
+        path.write_text(body, encoding="utf-8", newline="")
+        fast.append(read())
+    monkeypatch.setattr(_text, "_c_columns", lambda *args: None)
+    for body, want in zip(bodies, fast):
+        path.write_text(body, encoding="utf-8", newline="")
+        assert read() == want, body
+
+
+MALFORMED = [
+    ("scores", read_scores_csv, f"{SCORES_HEADER}\n0,0,1,1,0,0,1,0,\n1,0,1,x,0,0,1,0,\n",
+     "line 3: could not convert string to float: 'x'"),
+    ("log", read_prediction_log, f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,,\n0,1,1,1,0.9,zz,,,\n",
+     "line 3: could not convert string to float: 'zz'"),
+    ("counts", lambda p: _read_counts_csv(p, 8), "token_id,count\n0,1\n8,1\n",
+     "line 3: token id 8 outside [0, 8)"),
+    ("task", lambda p: read_task_csv(p, 8), "source,target\n0,1\n9,2\n",
+     "line 3: source id 9 outside [0, 8)"),
+    ("task", lambda p: read_task_csv(p, 8), "source,target\n0,1\n2,-1\n",
+     "line 3: target id -1 outside [0, 8)"),
+    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,x\n",
+     "line 2: could not convert string to float: 'x'"),
+    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,inf\n", "line 2: non-finite cell inf"),
+    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3\n", "line 2: 1 cells, expected 2"),
+]
+
+
+@pytest.mark.parametrize("what, read, text, reason", MALFORMED,
+                         ids=["scores", "log", "counts", "task-source", "task-target",
+                              "matrix-non-numeric", "matrix-non-finite", "matrix-ragged"])
+def test_every_reader_names_path_and_line_of_a_bad_row(tmp_path, what, read, text, reason):
+    path = tmp_path / f"{what}.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: bad {what} row at {reason}"
 
 
 CORPORA = ["1 2 3\n", "1\n\n2\r\n3\t4\x0b5\x0c6 \n", "", "  \n", "\n", "-", "+", "- 1",

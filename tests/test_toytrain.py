@@ -598,7 +598,7 @@ class TestTaskAndModelFiles:
         task = generate_task(5, 32, 50, 1.2)
         path = tmp_path / "task.csv"
         write_task_csv(task, path)
-        with pytest.raises(ValueError, match="lie in"):
+        with pytest.raises(ValueError, match=rf"{path}: bad task row at line \d+: .* outside \[0, 4\)"):
             read_task_csv(path, 4)
 
     def test_model_checkpoint_round_trip(self):
