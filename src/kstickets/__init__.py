@@ -54,11 +54,10 @@ from .toytrain import (
     TrainConfig,
     emit_prediction_log,
     evaluate,
-    forward,
     generate_task,
     init_model,
     train,
 )
-from .transfer import diff_rows, emit_mask, splice_partial_transfer
+from .transfer import emit_mask, splice_partial_transfer
 
 __version__ = "0.1.0"

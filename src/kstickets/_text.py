@@ -7,7 +7,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -53,26 +53,19 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path, header: str, lines) -> None:
-    """A header line, then one line per formatted row, _ROWS_PER_WRITE at a time."""
-    lines = iter(lines)
-    with atomic_open(path) as fh:
-        fh.write(header + "\n")
-        while chunk := list(islice(lines, _ROWS_PER_WRITE)):
-            fh.write("\n".join(chunk) + "\n")
+def write_csv(path, header: str, columns: list) -> None:
+    """A header line, then one line per row of the numpy columns, written
+    _ROWS_PER_WRITE rows at a time; every cell of an absent (None) column is blank.
 
-
-def column_lines(columns):
-    """CSV lines from numpy columns; every cell of an absent (None) column is blank.
-
-    Each distinct float64 bit pattern (so -0.0 apart from 0.0) is formatted
-    once; the cell texts are gathered _ROWS_PER_WRITE rows at a time.
+    Each distinct float64 bit pattern (so -0.0 apart from 0.0) is formatted once.
     """
-    columns = list(columns)
     cells = [_cell_texts(col) for col in columns]
     n = min((col.size for col in columns if col is not None), default=0)
-    for lo in range(0, n, _ROWS_PER_WRITE):
-        yield from map(",".join, zip(*(texts(lo, lo + _ROWS_PER_WRITE) for texts in cells)))
+    with atomic_open(path) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, _ROWS_PER_WRITE):
+            rows = zip(*(texts(lo, lo + _ROWS_PER_WRITE) for texts in cells))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _cell_texts(col):

@@ -19,7 +19,6 @@ from ._text import (
     OPTIONAL_FLOAT,
     OPTIONAL_INT,
     blank_cells,
-    column_lines,
     fmt_float,
     read_csv,
     write_csv,
@@ -174,7 +173,7 @@ def alpha_sweep(
 
 def write_prediction_log(log: PredictionLog, path) -> None:
     """One line per record; the cells of an absent column are blank."""
-    write_csv(path, LOG_HEADER, column_lines(getattr(log, f.name) for f in fields(log)))
+    write_csv(path, LOG_HEADER, [getattr(log, f.name) for f in fields(log)])
 
 
 def read_prediction_log(path) -> PredictionLog:

@@ -225,8 +225,11 @@ def validate_pair(
 
 
 def import_csv_matrix(path, tensor_name: str) -> Checkpoint:
-    """Build a single-tensor checkpoint from a headerless numeric CSV."""
-    cell = Column(np.float64, valid=np.isfinite, invalid="non-finite cell {}")
+    """Build a single-tensor checkpoint from a headerless numeric CSV. A cell
+    must be finite as float32: below 2**128 - 2**103 (halfway from float32's
+    largest value to 2**128) in magnitude, as from there it rounds to inf."""
+    cell = Column(np.float64, valid=lambda x: np.abs(x) < 2.0**128 - 2.0**103,
+                  invalid="non-finite cell {}")
     try:
         columns = read_csv(path, None, cell, "matrix")
     except OSError as exc:

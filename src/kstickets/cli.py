@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._text import Column, column_lines, fmt_float, read_csv, write_csv, write_text
+from ._text import Column, fmt_float, read_csv, write_csv, write_text
 from .certify import (
     PROB_SOURCES,
     alpha_sweep,
@@ -78,7 +78,7 @@ def _write_counts_csv(counts: np.ndarray, path, top_k: int | None) -> None:
         if top_k > counts.size:
             raise ValueError(f"top-k {top_k} exceeds vocab size {counts.size}")
         ids = np.lexsort((ids, -counts))[:top_k]
-    write_csv(path, COUNTS_HEADER, column_lines([ids, counts[ids]]))
+    write_csv(path, COUNTS_HEADER, [ids, counts[ids]])
 
 
 def _read_counts_csv(path, vocab_size: int) -> np.ndarray:
@@ -146,12 +146,8 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_select(args) -> None:
-    by_alpha = args.alpha is not None
-    by_metric = args.method is not None
-    if by_alpha == by_metric:
-        raise _UsageError("give either --alpha with --dim, or --method with --top-k")
     scores = read_scores_csv(args.scores)
-    if by_alpha:
+    if args.alpha is not None:
         if args.dim is None:
             raise _UsageError("--alpha requires --dim")
         tickets = select_by_alpha(scores, args.alpha, args.dim)
@@ -230,8 +226,7 @@ def _cmd_toy_train(args) -> None:
     tuned, losses = train(model, task, config)
     write_checkpoint(model_to_checkpoint(tuned), args.out)
     if args.loss_out is not None:
-        epochs = np.arange(len(losses))
-        write_csv(args.loss_out, "epoch,loss", column_lines([epochs, np.array(losses)]))
+        write_csv(args.loss_out, "epoch,loss", [np.arange(len(losses)), np.array(losses)])
 
 
 def _cmd_toy_eval(args) -> None:
@@ -266,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="pick winning-ticket rows from a scores CSV")
     p.add_argument("--scores", required=True)
-    p.add_argument("--alpha", type=float)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--alpha", type=float)
     p.add_argument("--dim", type=int)
-    p.add_argument("--method", choices=SELECTION_METHODS)
+    mode.add_argument("--method", choices=SELECTION_METHODS)
     p.add_argument("--top-k", type=int, dest="top_k")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_select)

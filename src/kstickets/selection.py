@@ -19,7 +19,6 @@ from ._text import (
     INT,
     OPTIONAL_INT,
     blank_cells,
-    column_lines,
     parse_optional,
     read_csv,
     write_csv,
@@ -407,7 +406,7 @@ def compare_ticket_distributions(
 
 def write_scores_csv(scores: ScoreTable, path) -> None:
     """One line per row in table order; frequency cells blank when absent."""
-    write_csv(path, SCORES_HEADER, column_lines(getattr(scores, f.name) for f in fields(scores)))
+    write_csv(path, SCORES_HEADER, [getattr(scores, f.name) for f in fields(scores)])
 
 
 def read_scores_csv(path) -> ScoreTable:

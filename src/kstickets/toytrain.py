@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import Column, column_lines, read_csv, write_csv
+from ._text import Column, read_csv, write_csv
 from .certify import PredictionLog
 from .checkpoint import Checkpoint, TensorRecord
 from .selection import WinningTicketSet
@@ -28,7 +28,6 @@ __all__ = [
     "EXAMPLE_GROUP",
     "generate_task",
     "init_model",
-    "forward",
     "train",
     "evaluate",
     "emit_prediction_log",
@@ -119,8 +118,10 @@ class SyntheticTask:
         tgt = np.asarray(self.targets, dtype=np.int64).ravel()
         if src.size != tgt.size:
             raise ValueError("sources and targets must have equal length")
+        if src.size == 0:
+            raise ValueError("task has no pairs")
         for arr, label in ((src, "source"), (tgt, "target")):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.vocab_size):
+            if arr.min() < 0 or arr.max() >= self.vocab_size:
                 raise ValueError(f"{label} ids must lie in [0, {self.vocab_size})")
         self.sources = src
         self.targets = tgt
@@ -181,13 +182,6 @@ def _distinct_probs(embedding, output_weights, sources) -> tuple[np.ndarray, ...
     return rows, inverse, _softmax(embedding[rows].astype(np.float64) @ w64.T)
 
 
-def forward(model: ToyModel, source_token: int) -> np.ndarray:
-    """Next-token probability vector for one source token."""
-    if not 0 <= source_token < model.vocab_size:
-        raise ValueError(f"token {source_token} out of range [0, {model.vocab_size})")
-    return _distinct_probs(model.embedding, model.output_weights, [source_token])[2][0]
-
-
 def _grad(probs, rows, inverse, tgt, w64) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy gradient of a batch: (delta, grad).
 
@@ -220,8 +214,6 @@ def train(
         )
     if config.tickets is not None and config.tickets.vocab_size != model.vocab_size:
         raise ValueError("ticket vocab_size does not match model")
-    if task.n_pairs == 0:
-        raise ValueError("task has no pairs")
 
     emb = model.embedding.copy()
     out = model.output_weights.copy()
@@ -256,8 +248,6 @@ def train(
 
 def evaluate(model: ToyModel, task: SyntheticTask) -> float:
     """Fraction of pairs predicted exactly; argmax ties go to the lowest id."""
-    if task.n_pairs == 0:
-        raise ValueError("task has no pairs")
     _, inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
     return float((np.argmax(probs, axis=1)[inverse] == task.targets).mean())
 
@@ -285,8 +275,6 @@ def emit_prediction_log(
     for other in (partial_model, base_model):
         if other is not None and other.embedding.shape != shape:
             raise ValueError(f"model shape mismatch: {shape} vs {other.embedding.shape}")
-    if task.n_pairs == 0:
-        raise ValueError("task has no pairs")
 
     def top2(model):  # _top2 per distinct source, gathered back to pair order
         _, inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
@@ -317,7 +305,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> ToyModel:
 
 
 def write_task_csv(task: SyntheticTask, path) -> None:
-    write_csv(path, TASK_HEADER, column_lines([task.sources, task.targets]))
+    write_csv(path, TASK_HEADER, [task.sources, task.targets])
 
 
 def read_task_csv(path, vocab_size: int) -> SyntheticTask:

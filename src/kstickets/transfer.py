@@ -1,7 +1,7 @@
 """Row splicing between checkpoints and trainability masks.
 
-Splicing is a byte copy, never a numeric transformation, so the diff_rows
-oracle below can verify it exactly.
+Splicing is a byte copy, never a numeric transformation, so a byte-level row
+diff of the output against its inputs verifies it exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "splice_partial_transfer",
     "splice_in_place",
     "emit_mask",
-    "diff_rows",
     "write_mask_file",
 ]
 
@@ -60,20 +59,6 @@ def emit_mask(tickets: WinningTicketSet, complement: bool = False) -> np.ndarray
     trainable = np.full(tickets.vocab_size, complement, dtype=bool)
     trainable[list(tickets.token_ids)] = not complement
     return trainable
-
-
-def diff_rows(a: Checkpoint, b: Checkpoint, tensor_name: str) -> set[int]:
-    """Row indices whose payload bytes differ between the two checkpoints."""
-    ta = a.tensor(tensor_name)
-    tb = b.tensor(tensor_name)
-    if ta.shape != tb.shape:
-        raise ValueError(
-            f"tensor {tensor_name!r} shape mismatch: {ta.shape} vs {tb.shape}"
-        )
-    rows = ta.shape[0]
-    av = ta.data.view(np.uint32).reshape(rows, -1)
-    bv = tb.data.view(np.uint32).reshape(rows, -1)
-    return set(np.flatnonzero((av != bv).any(axis=1)).tolist())
 
 
 def write_mask_file(trainable: np.ndarray, path) -> None:

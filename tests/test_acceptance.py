@@ -45,7 +45,8 @@ from kstickets.toytrain import (
     train,
     write_task_csv,
 )
-from kstickets.transfer import diff_rows, splice_partial_transfer
+from kstickets.transfer import splice_partial_transfer
+from oracles import diff_rows
 
 
 def ok(n, text):

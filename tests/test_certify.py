@@ -353,8 +353,9 @@ def test_toy_certificate_is_the_papers_metric_not_a_guarantee():
     """
     from kstickets.ksstat import Sample, ks_statistic
     from kstickets.toytrain import (
-        TrainConfig, emit_prediction_log, forward, generate_task, init_model, train,
+        TrainConfig, emit_prediction_log, generate_task, init_model, train,
     )
+    from oracles import forward
 
     task = generate_task(1, 256, 2000, 1.8)
     config = TrainConfig(mode="embed", learning_rate=0.1, epochs=50, seed=1, batch_size=32)

@@ -2,6 +2,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,23 @@ class TestCsvImport:
         path.write_text("1,2\n3,x\n")
         with pytest.raises(CheckpointError, match=f"{path}: bad matrix row at line 2: .*'x'"):
             import_csv_matrix(path, "m")
+
+    @pytest.mark.parametrize("cell", ["1e39", "-1e39"])
+    def test_cell_beyond_float32_names_path_and_line(self, tmp_path, cell):
+        # finite as float64, inf as float32: rejected by the cell check, with
+        # no overflow warning from the float32 cast
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2\n3,{cell}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError, match=f"{path}: bad matrix row at line 2: "):
+                import_csv_matrix(path, "m")
+
+    def test_float32_max_cell_is_kept(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,3.4028235e38\n")
+        data = import_csv_matrix(path, "m").tensor("m").data
+        assert data[3] == np.finfo(np.float32).max
 
     def test_empty(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -307,11 +307,13 @@ def test_negative_top_k_exits_two(workdir, capsys, argv):
     assert not out.exists()
 
 
-def test_select_requires_exactly_one_mode(workdir):
+def test_select_requires_exactly_one_mode(workdir, capsys):
     full_analyze(workdir)
     args = ["select", "--scores", str(workdir / "scores.csv"), "--out", "t.txt"]
-    assert run(args) == 1
-    assert run(args + ["--alpha", "0.05", "--dim", "32", "--method", "ks"]) == 1
+    for mode in ([], ["--alpha", "0.05", "--dim", "32", "--method", "ks"]):  # neither, both
+        assert run(args + mode) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--alpha" in err and "--method" in err
     assert run(args + ["--alpha", "0.05"]) == 1  # missing --dim
 
 
@@ -411,6 +413,17 @@ def test_toy_train_partial_requires_tickets(tmp_path):
                 "--task", str(tmp_path / "task.csv"), "--mode", "partial",
                 "--out", str(tmp_path / "out.ckpt")])
     assert code == 1
+
+
+def test_toy_train_on_a_header_only_task_exits_two(tmp_path, capsys):
+    ckpt, task, out = tmp_path / "model.ckpt", tmp_path / "task.csv", tmp_path / "out.ckpt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 16, 4)), ckpt)
+    task.write_text("source,target\n")
+    code = run(["toy", "train", "--model", str(ckpt), "--task", str(task), "--mode", "embed",
+                "--out", str(out)])
+    assert code == 2
+    assert f"error: {task}: no pairs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_bad_alpha_list(workdir):

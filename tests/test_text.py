@@ -13,7 +13,6 @@ from kstickets._text import (
     OPTIONAL_FLOAT,
     OPTIONAL_INT,
     atomic_open,
-    column_lines,
     fmt_float,
     parse_optional,
     read_csv,
@@ -72,12 +71,13 @@ def test_symlink_keeps_pointing_at_its_target(tmp_path):
 
 def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, "a,b", (f"{i},{i * i}" for i in range(3)))
+    i = np.arange(3)
+    write_csv(path, "a,b", [i, i * i])
     assert path.read_bytes() == b"a,b\n0,0\n1,1\n2,4\n"
 
 
 def per_cell_lines(columns):
-    """column_lines' reference: each cell formatted on its own."""
+    """write_csv's reference: each cell formatted on its own."""
     n = min(len(col) for col in columns if col is not None)
     cells = [[""] * n if col is None
              else [fmt_float(x) if col.dtype.kind == "f" else str(x) for x in col.tolist()[:n]]
@@ -86,7 +86,7 @@ def per_cell_lines(columns):
 
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
-def test_column_lines_match_per_cell_formatting(tmp_path, n):
+def test_write_csv_matches_per_cell_formatting(tmp_path, n):
     # repeated and distinct floats, -0.0 beside 0.0, non-finite values, float32
     # and int columns and a blank column, across the write chunk boundaries
     rng = np.random.default_rng(n)
@@ -101,9 +101,7 @@ def test_column_lines_match_per_cell_formatting(tmp_path, n):
         np.round(rng.normal(size=n), 2),
     ]
     want = per_cell_lines(columns)
-    assert list(column_lines(columns)) == want
-    assert list(column_lines(iter(columns))) == want
-    write_csv(tmp_path / "t.csv", "a,b,c,d,e,f,g", column_lines(columns))
+    write_csv(tmp_path / "t.csv", "a,b,c,d,e,f,g", columns)
     assert (tmp_path / "t.csv").read_text() == "\n".join(["a,b,c,d,e,f,g", *want]) + "\n"
 
 

@@ -17,7 +17,6 @@ from kstickets.toytrain import (
     _top2,
     emit_prediction_log,
     evaluate,
-    forward,
     generate_task,
     init_model,
     model_from_checkpoint,
@@ -26,10 +25,16 @@ from kstickets.toytrain import (
     train,
     write_task_csv,
 )
+from oracles import forward
 
 
 def small_setup(seed=0, v=32, d=8, n_pairs=200, zipf=1.0):
     return generate_task(seed, v, n_pairs, zipf), init_model(seed, v, d)
+
+
+def test_task_without_pairs_is_rejected():
+    with pytest.raises(ValueError, match="task has no pairs"):
+        SyntheticTask(vocab_size=8, sources=[], targets=[])
 
 
 class TestGenerateTask:

@@ -9,12 +9,12 @@ from kstickets.checkpoint import Checkpoint, TensorRecord, write_checkpoint
 from kstickets.cli import run
 from kstickets.selection import WinningTicketSet, write_ticket_file
 from kstickets.transfer import (
-    diff_rows,
     emit_mask,
     splice_in_place,
     splice_partial_transfer,
     write_mask_file,
 )
+from oracles import diff_rows
 
 
 def pair_differing_everywhere(v=4, d=3, seed=0):
