@@ -71,11 +71,6 @@ class TensorRecord:
         self.data = arr
 
     @property
-    def array(self) -> np.ndarray:
-        """Zero-copy view of the payload in its declared shape."""
-        return self.data.reshape(self.shape)
-
-    @property
     def nbytes(self) -> int:
         return self.data.size * 4
 
@@ -212,8 +207,8 @@ def get_embedding(ckpt: Checkpoint, tensor_name: str) -> EmbeddingView:
 
 def validate_pair(
     base: Checkpoint, tuned: Checkpoint, tensor_name: str
-) -> tuple[int, int]:
-    """Check both checkpoints carry tensor_name as rank-2 with identical shape."""
+) -> tuple[EmbeddingView, EmbeddingView]:
+    """The views of tensor_name in base and tuned, checked rank-2 with identical shape."""
     vb = get_embedding(base, tensor_name)
     vt = get_embedding(tuned, tensor_name)
     if (vb.vocab_size, vb.dim) != (vt.vocab_size, vt.dim):
@@ -221,7 +216,7 @@ def validate_pair(
             f"tensor {tensor_name!r} shape mismatch: "
             f"base {vb.vocab_size, vb.dim} vs tuned {vt.vocab_size, vt.dim}"
         )
-    return vb.vocab_size, vb.dim
+    return vb, vt
 
 
 def import_csv_matrix(path, tensor_name: str) -> Checkpoint:
@@ -229,7 +224,7 @@ def import_csv_matrix(path, tensor_name: str) -> Checkpoint:
     must be finite as float32: below 2**128 - 2**103 (halfway from float32's
     largest value to 2**128) in magnitude, as from there it rounds to inf."""
     cell = Column(np.float64, valid=lambda x: np.abs(x) < 2.0**128 - 2.0**103,
-                  invalid="non-finite cell {}")
+                  invalid="cell {} is not a finite float32")
     try:
         columns = read_csv(path, None, cell, "matrix")
     except OSError as exc:

@@ -25,7 +25,6 @@ from .certify import (
 )
 from .checkpoint import (
     CheckpointError,
-    get_embedding,
     read_checkpoint,
     validate_pair,
     write_checkpoint,
@@ -136,10 +135,7 @@ def _off_lattice(statistic: np.ndarray, d: int) -> np.ndarray:
 def _cmd_analyze(args) -> None:
     base = read_checkpoint(args.base)
     tuned = read_checkpoint(args.tuned)
-    validate_pair(base, tuned, args.tensor)
-    scores = analyze_pair(
-        get_embedding(base, args.tensor), get_embedding(tuned, args.tensor)
-    )
+    scores = analyze_pair(*validate_pair(base, tuned, args.tensor))
     if args.freq is not None:
         scores = replace(scores, frequency=_read_counts_csv(args.freq, len(scores)))
     write_scores_csv(scores, args.out)
@@ -188,6 +184,9 @@ def _cmd_certify(args) -> None:
         raise _UsageError(f"bad --alpha list: {args.alpha!r}") from exc
     if not alphas:
         raise _UsageError("at least one alpha required")
+    if not len(log):
+        kept = "" if args.first_k is None else f" at a position below --first-k {args.first_k}"
+        raise ValueError(f"{args.log}: no records{kept}")
     reports = alpha_sweep(log, alphas, args.dim, args.prob_source)
     write_reports(reports, args.out)
 
@@ -373,3 +372,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -124,6 +124,8 @@ class WinningTicketSet:
     def __post_init__(self) -> None:
         if self.method not in SELECTION_METHODS:
             raise ValueError(f"unknown selection method {self.method!r}")
+        if self.vocab_size < 0:
+            raise ValueError(f"vocab_size {self.vocab_size} must be >= 0")
         ids = tuple(int(i) for i in self.token_ids)
         if any(ids[k] >= ids[k + 1] for k in range(len(ids) - 1)):
             raise ValueError("token_ids must be strictly ascending")
@@ -413,6 +415,8 @@ def read_scores_csv(path) -> ScoreTable:
     """A blank frequency cell in any row leaves the whole column absent."""
     parsers = (INT, *[FLOAT] * len(METRICS), OPTIONAL_INT)
     *columns, freq = read_csv(path, SCORES_HEADER, parsers, "scores")
+    if not len(columns[0]):
+        raise ValueError(f"{path}: no rows")
     blank = blank_cells(freq, len(columns[0])).any()
     try:
         return ScoreTable(*columns, frequency=None if blank else freq)

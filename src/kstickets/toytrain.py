@@ -14,7 +14,7 @@ import numpy as np
 
 from ._text import Column, read_csv, write_csv
 from .certify import PredictionLog
-from .checkpoint import Checkpoint, TensorRecord
+from .checkpoint import Checkpoint, TensorRecord, get_embedding
 from .selection import WinningTicketSet
 from .transfer import emit_mask
 
@@ -73,9 +73,6 @@ class ToyModel:
     def dim(self) -> int:
         return self.embedding.shape[1]
 
-    def copy(self) -> "ToyModel":
-        return ToyModel(self.embedding.copy(), self.output_weights.copy())
-
 
 @dataclass
 class TrainConfig:
@@ -105,13 +102,11 @@ class SyntheticTask:
 
     Sources are drawn from a designated content sub-vocabulary with
     rank^(-zipf_exponent) weights, so a handful of tokens dominate the stream.
-    `mapping` is None for tasks loaded from file.
     """
 
     vocab_size: int
     sources: np.ndarray
     targets: np.ndarray
-    mapping: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
         src = np.asarray(self.sources, dtype=np.int64).ravel()
@@ -146,13 +141,7 @@ def generate_task(
     weights = ranks ** (-float(zipf_exponent))
     weights /= weights.sum()
     idx = rng.choice(content.size, size=n_pairs, p=weights)
-    mapping = {int(s): int(t) for s, t in zip(content, permuted)}
-    return SyntheticTask(
-        vocab_size=vocab_size,
-        sources=content[idx],
-        targets=permuted[idx],
-        mapping=mapping,
-    )
+    return SyntheticTask(vocab_size=vocab_size, sources=content[idx], targets=permuted[idx])
 
 
 def init_model(seed: int, vocab_size: int, dim: int) -> ToyModel:
@@ -299,9 +288,8 @@ def model_to_checkpoint(model: ToyModel) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ToyModel:
-    emb = ckpt.tensor(EMBEDDING_TENSOR)
-    out = ckpt.tensor(OUTPUT_TENSOR)
-    return ToyModel(emb.array.copy(), out.array.copy())
+    return ToyModel(*(get_embedding(ckpt, name).matrix.copy()
+                      for name in (EMBEDDING_TENSOR, OUTPUT_TENSOR)))
 
 
 def write_task_csv(task: SyntheticTask, path) -> None:

@@ -43,14 +43,13 @@ def splice_in_place(
 ) -> Checkpoint:
     """splice_partial_transfer without the copy: overwrite the ticket rows of
     base's own (writable) tensor_name with tuned's, and return base."""
-    v, d = validate_pair(base, tuned, tensor_name)
-    if tickets.vocab_size != v:
+    vb, vt = validate_pair(base, tuned, tensor_name)
+    if tickets.vocab_size != vb.vocab_size:
         raise ValueError(
-            f"ticket vocab_size {tickets.vocab_size} does not match tensor rows {v}"
+            f"ticket vocab_size {tickets.vocab_size} does not match tensor rows {vb.vocab_size}"
         )
     ids = list(tickets.token_ids)
-    rows = base.tensor(tensor_name).data.reshape(v, d)
-    rows[ids] = tuned.tensor(tensor_name).data.reshape(v, d)[ids]
+    vb.matrix[ids] = vt.matrix[ids]
     return base
 
 

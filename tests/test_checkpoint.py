@@ -35,7 +35,7 @@ class TestTensorRecord:
     def test_basic(self):
         t = TensorRecord("w", (2, 3), np.zeros(6, dtype=np.float32))
         assert t.shape == (2, 3)
-        assert t.array.shape == (2, 3)
+        assert t.data.shape == (6,)
         assert t.nbytes == 24
 
     def test_shape_mismatch(self):
@@ -174,6 +174,25 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            (b"\xff\t2\t0\t8\n", "bad header"),
+            (b"w\t2\t0\n", "bad header line"),
+            (b"w\t2,x\t0\t8\n", "bad header line"),
+            (b"w\t2\tzero\t8\n", "bad header line"),
+            (b"w\t3\t0\t8\n", "tensor 'w' length/shape mismatch"),
+        ],
+        ids=["not-utf8", "three-fields", "non-integer-dim", "non-integer-offset",
+             "length-not-4-prod"],
+    )
+    def test_corrupt_header_line(self, tmp_path, header, reason):
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(b"KSLT" + struct.pack("<II", 1, len(header)) + header + bytes(8))
+        with pytest.raises(CheckpointError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: corrupt checkpoint ({reason})"
+
 
 def traced_peak(fn, *args):
     """(result, peak bytes allocated while fn runs, numpy buffers included)."""
@@ -310,8 +329,11 @@ class TestEmbeddingView:
 class TestValidatePair:
     def test_matching(self):
         a = make_ckpt(("embed", (8, 4)))
-        b = make_ckpt(("embed", (8, 4)))
-        assert validate_pair(a, b, "embed") == (8, 4)
+        b = make_ckpt(("other", (2, 2)), ("embed", (8, 4)))  # other values than a's
+        vb, vt = validate_pair(a, b, "embed")
+        assert (vb.vocab_size, vb.dim) == (vt.vocab_size, vt.dim) == (8, 4)
+        assert vb.matrix.tobytes() == a.tensor("embed").data.tobytes()
+        assert vt.matrix.tobytes() == b.tensor("embed").data.tobytes()
 
     def test_shape_mismatch_lists_both(self):
         a = make_ckpt(("embed", (8, 4)))
@@ -333,7 +355,7 @@ class TestCsvImport:
         ckpt = import_csv_matrix(path, "m")
         t = ckpt.tensor("m")
         assert t.shape == (2, 2)
-        np.testing.assert_array_equal(t.array, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(get_embedding(ckpt, "m").matrix, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_ragged(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -369,6 +391,10 @@ class TestCsvImport:
         path.write_text("")
         with pytest.raises(CheckpointError, match="no rows"):
             import_csv_matrix(path, "m")
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(CheckpointError, match=f"cannot read {tmp_path}: "):
+            import_csv_matrix(tmp_path, "m")  # a directory
 
     def test_round_trips_through_checkpoint(self, tmp_path):
         csv = tmp_path / "m.csv"

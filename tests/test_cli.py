@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kstickets
 from kstickets.checkpoint import Checkpoint, TensorRecord, read_checkpoint, write_checkpoint
 from kstickets._text import fmt_float
 from kstickets.cli import _off_lattice, run
@@ -544,8 +550,19 @@ def test_malformed_ticket_file_exits_two(tmp_path, capsys, extra):
       ["mask", "--tickets"], "invalid literal for int() with base 10: 'x'"),
      ("scores.csv", "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency\n"
       "1,0,1,1,0,0,1,0,\n", ["select", "--method", "cos", "--top-k", "1", "--scores"],
-      "scores must cover token ids 0..V-1 exactly once")],
-    ids=["tickets-descending", "tickets-non-integer", "scores-missing-id"],
+      "scores must cover token ids 0..V-1 exactly once"),
+     ("tickets.txt", "method=ks\nalpha=\ntau=\nvocab_size=-3\ntoken_ids=\n",
+      ["mask", "--tickets"], "vocab_size -3 must be >= 0"),
+     ("scores.csv", f"{SCORES_HEADER}\n",
+      ["select", "--alpha", "0.05", "--dim", "64", "--scores"], "no rows"),
+     ("log.csv", f"{LOG_HEADER}\n",
+      ["certify", "--dim", "4", "--alpha", "0.05", "--log"], "no records"),
+     ("log.csv", f"{LOG_HEADER}\n0,3,1,1,0.9,0.1,,,\n",
+      ["certify", "--dim", "4", "--alpha", "0.05", "--first-k", "2", "--log"],
+      "no records at a position below --first-k 2")],
+    ids=["tickets-descending", "tickets-non-integer", "scores-missing-id",
+         "tickets-negative-vocab", "scores-header-only", "log-header-only",
+         "log-emptied-by-first-k"],
 )
 def test_table_errors_name_the_file(tmp_path, capsys, name, text, argv, reason):
     path = tmp_path / name
@@ -605,3 +622,34 @@ def test_mixed_blank_frequency_column_is_absent(tmp_path, capsys):
                 "--out", str(tmp_path / "f.txt")])
     assert code == 2
     assert "frequency ranking requires counts on every score" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [(["freq", "--corpus", "{dir}/corpus.txt", "--vocab", "64", "--top-k", "65"], 2,
+      "error: top-k 65 exceeds vocab size 64\n"),
+     (["select", "--scores", "{dir}/scores.csv", "--method", "ks"], 1,
+      "usage error: --method requires --top-k\n"),
+     (["certify", "--log", "{dir}/log.csv", "--dim", "4", "--alpha", ","], 1,
+      "usage error: at least one alpha required\n")],
+    ids=["freq-top-k-above-vocab", "select-method-without-top-k", "certify-no-alpha"],
+)
+def test_option_errors_write_nothing(workdir, capsys, argv, code, message):
+    full_analyze(workdir)
+    (workdir / "log.csv").write_text(f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,,\n")
+    out = workdir / "out.txt"
+    assert run([a.format(dir=workdir) for a in argv] + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(kstickets.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    gen = ["toy", "gen", "--seed", "1", "--vocab", "16", "--pairs", "20", "--out"]
+    proc = subprocess.run([sys.executable, "-m", "kstickets.cli", *gen, str(tmp_path / "m.csv")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert run([*gen, str(tmp_path / "run.csv")]) == 0
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()

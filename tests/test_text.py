@@ -257,14 +257,20 @@ MALFORMED = [
      "line 3: target id -1 outside [0, 8)"),
     ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,x\n",
      "line 2: could not convert string to float: 'x'"),
-    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,inf\n", "line 2: non-finite cell inf"),
+    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,inf\n",
+     "line 2: cell inf is not a finite float32"),
+    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,nan\n",
+     "line 2: cell nan is not a finite float32"),
+    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,1e39\n",
+     "line 2: cell 1e+39 is not a finite float32"),
     ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3\n", "line 2: 1 cells, expected 2"),
 ]
 
 
 @pytest.mark.parametrize("what, read, text, reason", MALFORMED,
                          ids=["scores", "log", "counts", "task-source", "task-target",
-                              "matrix-non-numeric", "matrix-non-finite", "matrix-ragged"])
+                              "matrix-non-numeric", "matrix-non-finite", "matrix-nan",
+                              "matrix-beyond-float32", "matrix-ragged"])
 def test_every_reader_names_path_and_line_of_a_bad_row(tmp_path, what, read, text, reason):
     path = tmp_path / f"{what}.csv"
     path.write_text(text)

@@ -51,12 +51,14 @@ class TestGenerateTask:
 
     def test_targets_follow_mapping(self):
         task = generate_task(3, 64, 500, 1.5)
-        for s, t in zip(task.sources, task.targets):
-            assert task.mapping[int(s)] == int(t)
+        pairs = np.unique(np.stack([task.sources, task.targets], axis=1), axis=0)
+        assert np.unique(pairs[:, 0]).size == len(pairs)  # one target per source
+        assert np.unique(pairs[:, 1]).size == len(pairs)  # distinct sources, distinct targets
 
     def test_zipf_zero_is_roughly_uniform(self):
         task = generate_task(5, 128, 12800, 0.0)
-        content = sorted(task.mapping)
+        content = np.unique(task.sources)
+        assert content.size == 64
         counts = np.bincount(task.sources, minlength=128)[content]
         expected = 12800 / len(content)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -66,7 +68,9 @@ class TestGenerateTask:
         task = generate_task(11, 16, 1, 1.0)
         assert task.n_pairs == 1
         s, t = task.sources[0], task.targets[0]
-        assert task.mapping[s] == t
+        # the permutation does not depend on n_pairs: a longer task maps s alike
+        longer = generate_task(11, 16, 500, 1.0)
+        assert set(longer.targets[longer.sources == s].tolist()) == {t}
 
     def test_vocab_domain(self):
         with pytest.raises(ValueError, match="vocab_size"):
@@ -475,8 +479,6 @@ def grad_check(model, task, epsilon=1e-4):
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    if task.n_pairs == 0:
-        raise ValueError("task has no pairs")
     b = min(32, task.n_pairs)
     src = task.sources[:b]
     tgt = task.targets[:b]
@@ -597,7 +599,6 @@ class TestTaskAndModelFiles:
         back = read_task_csv(path, 32)
         np.testing.assert_array_equal(back.sources, task.sources)
         np.testing.assert_array_equal(back.targets, task.targets)
-        assert back.mapping is None
 
     def test_task_vocab_validated(self, tmp_path):
         task = generate_task(5, 32, 50, 1.2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstickets.checkpoint import Checkpoint, TensorRecord, write_checkpoint
+from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding, write_checkpoint
 from kstickets.cli import run
 from kstickets.selection import WinningTicketSet, write_ticket_file
 from kstickets.transfer import (
@@ -57,10 +57,10 @@ class TestSplice:
     def test_single_row_element_oracle(self):
         base, tuned = pair_differing_everywhere()
         out = splice_partial_transfer(base, tuned, "embed", tickets_of([2]))
-        got = out.tensor("embed").array
+        got = get_embedding(out, "embed").matrix
         for r in range(4):
             source = tuned if r == 2 else base
-            np.testing.assert_array_equal(got[r], source.tensor("embed").array[r])
+            np.testing.assert_array_equal(got[r], get_embedding(source, "embed").matrix[r])
 
     def test_non_target_tensors_untouched(self):
         base, tuned = pair_differing_everywhere()
