@@ -135,10 +135,10 @@ def _off_lattice(statistic: np.ndarray, d: int) -> np.ndarray:
 def _cmd_analyze(args) -> None:
     base = read_checkpoint(args.base)
     tuned = read_checkpoint(args.tuned)
-    scores = analyze_pair(*validate_pair(base, tuned, args.tensor))
-    if args.freq is not None:
-        scores = replace(scores, frequency=_read_counts_csv(args.freq, len(scores)))
-    write_scores_csv(scores, args.out)
+    vb, vt = validate_pair(base, tuned, args.tensor)
+    # a malformed counts file fails before any row is scored
+    freq = None if args.freq is None else _read_counts_csv(args.freq, vb.vocab_size)
+    write_scores_csv(replace(analyze_pair(vb, vt), frequency=freq), args.out)
 
 
 def _cmd_select(args) -> None:

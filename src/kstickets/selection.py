@@ -56,9 +56,10 @@ _DIV_FLOOR = 1e-8
 _KL_BINS = 64
 _KL_MASS_FLOOR = 1e-9
 _CHUNK_ELEMENTS = 1 << 15  # values per scoring block; see _blocks
-# Blocks scored at once by analyze_pair. Each holds about 3.6 MB of float64
-# temporaries, so more would lift its peak past one float64 copy of a
-# 32,000 x 64 matrix (4 in flight: 17.4 MB traced against 16.4 MB).
+# Blocks scored at once by analyze_pair. Each holds up to about 3.6 MB of
+# float64 temporaries, and the traced peak of a fully moved 32,000 x 64 matrix
+# must stay below one float64 copy of it (16.4 MB): 3 in flight trace 12.3 to
+# 13.5 MB, 4 trace 15.2 to 16.3 MB, too close to the bound to allow.
 _MAX_THREADS = 3
 
 SCORES_HEADER = "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency"
@@ -266,14 +267,28 @@ def _score_rows(b: np.ndarray, t: np.ndarray) -> dict[str, np.ndarray]:
     cos[(norm_b == 0.0) & (norm_t == 0.0)] = 1.0
     diff = t - b
     g = _guarded_divisor(b)
-    return {
-        "ks_statistic": ks_statistic_rows(b, t),
+    scores = {
         "cos": cos,
         "abs_l2": np.sqrt(_row_dot(diff, diff)),
         "relative": np.mean(np.abs(t / g), axis=1),
         "ratio": np.mean(np.abs(diff / g), axis=1),
-        "kl": _histogram_kl_rows(t, b),
     }
+    # On a row with t == b, score_row's D is 0.0 (every tie run holds as many
+    # values of b as of t) and its KL +0.0 (equal histograms: pt * log(1)), so
+    # only moved rows go through the two kernels. For finite values t - b is
+    # zero (or -0.0, which is falsy) exactly where t == b.
+    moved = diff.any(axis=1)
+    # dropped before the kernels run: a block that gathers its moved rows then
+    # peaks no higher than one scored whole with both still held
+    del diff, g
+    ks, kl = np.zeros(len(b)), np.zeros(len(b))
+    if moved.all():  # a fully moved block is scored whole, with no gather
+        ks, kl = ks_statistic_rows(b, t), _histogram_kl_rows(t, b)
+    elif moved.any():
+        mb, mt = b[moved], t[moved]
+        ks[moved], kl[moved] = ks_statistic_rows(mb, mt), _histogram_kl_rows(mt, mb)
+    scores["ks_statistic"], scores["kl"] = ks, kl
+    return scores
 
 
 def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:

@@ -9,6 +9,7 @@ import pytest
 import kstickets
 from kstickets.checkpoint import Checkpoint, TensorRecord, read_checkpoint, write_checkpoint
 from kstickets._text import fmt_float
+from kstickets import cli
 from kstickets.cli import _off_lattice, run
 from kstickets.selection import read_scores_csv, read_ticket_file
 from kstickets.toytrain import (
@@ -518,6 +519,31 @@ def test_counts_row_outside_vocab_exits_two(tmp_path, capsys, row, reason):
     assert code == 2
     assert f"{counts}: bad counts row at line 3: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("token_id,count\n0,1\n1,1.5\n", "bad counts row at line 3"),
+     ("token_id,count\n0,1\n4,2\n", "token id 4 outside [0, 4)"),
+     ("id,count\n0,1\n", "header")],
+    ids=["non-integer", "id-above-vocab", "wrong-header"],
+)
+def test_analyze_checks_counts_before_scoring(tmp_path, capsys, monkeypatch, text, reason):
+    def never(*args):
+        raise AssertionError("analyze_pair ran before the counts file was checked")
+
+    monkeypatch.setattr(cli, "analyze_pair", never)
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    counts = tmp_path / "counts.csv"
+    counts.write_text(text)
+    out = tmp_path / "scores.csv"
+    code = run(["analyze", "--base", str(ckpt), "--tuned", str(ckpt), "--tensor", "embedding",
+                "--freq", str(counts), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(counts) in err and reason in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "model.ckpt"]
 
 
 def test_counts_repeated_id_keeps_last_line(tmp_path):

@@ -745,6 +745,110 @@ def test_analyze_pair_peak_stays_below_one_float64_matrix_on_any_cpu_count(monke
     test_analyze_pair_peak_stays_below_one_float64_matrix()
 
 
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_analyze_pair_peak_on_mostly_equal_rows_stays_below_one_float64_matrix(monkeypatch, n):
+    # a random 10% of rows drifted, the rest bit-identical: every block
+    # gathers its moved rows for the KS and KL kernels
+    monkeypatch.setattr(selection, "_cpu_count", lambda: n)
+    v, d = 32000, 64
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((v, d), dtype=np.float32)
+    tuned = base.copy()
+    drifted = rng.random(v) < 0.1
+    tuned[drifted] += np.float32(0.01) * rng.standard_normal((drifted.sum(), d), dtype=np.float32)
+    views = view_of(base), view_of(tuned)
+    tracemalloc.start()
+    try:
+        analyze_pair(*views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v * d * 8
+
+
+def equal_and_moved_pools(d):
+    """(equal, moved): two lists of (base, tuned) float32 row pairs of width d.
+
+    equal pairs each edge_row_pairs row with itself, then adds the +0.0
+    against -0.0 pairs: analyze_pair skips their KS and KL kernels. moved
+    starts with a quantised row moved one quantisation step and one moved one
+    float32 step, then the edge pairs that differ: analyze_pair scores them.
+    """
+    edge = edge_row_pairs(d)
+    equal = [(x, x) for pair in edge for x in pair] + edge[-2:]
+    q = np.round(np.random.default_rng(d).normal(0.0, 0.5, d), 1).astype(np.float32)
+    step, ulp = q.copy(), q.copy()
+    step[0] += np.float32(0.1)
+    ulp[-1] = np.nextafter(ulp[-1], np.float32(np.inf))
+    moved = [(q, step), (q, ulp)] + [p for p in edge if not np.array_equal(*p)]
+    return equal, moved
+
+
+@pytest.mark.parametrize("d", [2, 7, 64, 768])
+def test_analyze_pair_matches_score_row_on_equal_rows_at_any_cpu_count(cpus, d):
+    # several blocks in which no row reaches the KS and KL kernels: all-zero
+    # and constant rows (the lo == hi KL branch) and +0.0 against -0.0 among them
+    equal, _ = equal_and_moved_pools(d)
+    pairs = np.random.default_rng(d).permutation(3 * chunk_rows(d) + 2) % len(equal)
+    base, tuned = (np.stack(side)[pairs] for side in zip(*equal))
+    assert_matches_score_row(base, tuned, pairs)
+
+
+@pytest.mark.parametrize("d", [2, 7, 64, 768])
+def test_analyze_pair_matches_score_row_with_one_moved_row_per_block_at_any_cpu_count(cpus, d):
+    equal, moved = equal_and_moved_pools(d)
+    r, rng = chunk_rows(d), np.random.default_rng(d)
+    pairs = rng.permutation(3 * r + 2) % len(equal)
+    starts = np.arange(0, len(pairs), r)
+    hits = starts + rng.integers(0, np.minimum(r, len(pairs) - starts))
+    pairs[hits] = len(equal) + np.arange(len(hits)) % len(moved)
+    base, tuned = (np.stack(side)[pairs] for side in zip(*equal + moved))
+    assert_matches_score_row(base, tuned, pairs)
+
+
+def test_analyze_pair_runs_the_kernels_on_moved_rows_only(cpus, monkeypatch):
+    # row i of base starts with the value i, so each kernel call names its rows
+    d, r = 16, chunk_rows(16)
+    v = 3 * r + 5
+    rng = np.random.default_rng(1)
+    base = rng.normal(size=(v, d)).astype(np.float32)
+    base[:, 0] = np.arange(v)
+    calls = {"ks": [], "kl": []}
+
+    def spying(name, kernel, base_arg):
+        def spy(*args):
+            calls[name].append(args[base_arg][:, 0].astype(int).tolist())
+            return kernel(*args)
+        return spy
+
+    monkeypatch.setattr(selection, "ks_statistic_rows",
+                        spying("ks", selection.ks_statistic_rows, 0))
+    monkeypatch.setattr(selection, "_histogram_kl_rows",
+                        spying("kl", selection._histogram_kl_rows, 1))
+
+    def kernel_calls(tuned):
+        for seen in calls.values():
+            seen.clear()
+        analyze_pair(view_of(base), view_of(tuned))
+        return {name: sorted(seen) for name, seen in calls.items()}
+
+    # a random 10% moved, each by one float32 step; some other rows hold
+    # +0.0 in base and -0.0 in tuned, which count as equal
+    moved = np.sort(rng.choice(v, v // 10, replace=False))
+    still = np.setdiff1d(np.arange(v), moved)[::7]
+    base[still, 3] = 0.0
+    tuned = base.copy()
+    tuned[still, 3] = -0.0
+    tuned[moved, 2] = np.nextafter(base[moved, 2], np.float32(np.inf))
+    for seen in kernel_calls(tuned).values():
+        assert sorted(i for rows in seen for i in rows) == moved.tolist()
+
+    assert kernel_calls(base.copy()) == {"ks": [], "kl": []}
+
+    blocks = [list(range(lo, min(lo + r, v))) for lo in range(0, v, r)]
+    assert kernel_calls(base + 1.0) == {"ks": blocks, "kl": blocks}
+
+
 def compare_oracle(tuned_a, tuned_b, tickets, alpha):
     """compare_ticket_distributions as a per-ticket ks_statistic loop."""
     if not tickets.token_ids:
