@@ -32,7 +32,6 @@ from .ksstat import (
     ks_pvalue_asymptotic,
     ks_pvalue_permutation,
     ks_statistic,
-    ks_statistic_rows,
     ks_tau,
     ks_two_sample_test,
     tau_from_pvalue_inversion,

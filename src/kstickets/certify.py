@@ -1,9 +1,10 @@
 """Certification of next-token predictions under bounded parameter drift.
 
 A prediction is certified when the tuned model is correct and the half-gap
-between its top-2 probabilities exceeds the KS rejection threshold tau(alpha):
-any perturbation of the frozen rows that stays within per-row KS distance tau
-then cannot flip the argmax.
+between its top-2 probabilities exceeds the KS rejection threshold tau(alpha).
+Certified accuracy is the paper's metric. It bounds the argmax only for a
+predictor whose probabilities are 1-Lipschitz in per-row KS distance, which
+the toy model is not: see "Scope of the certificate on toy logs" in README.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ __all__ = [
     "Sample",
     "KsResult",
     "ks_statistic",
-    "ks_statistic_rows",
     "ks_critical_value",
     "ks_tau",
     "ks_pvalue_asymptotic",
@@ -78,33 +77,6 @@ def ks_statistic(a: Sample, b: Sample) -> float:
     cdf_a = np.searchsorted(a.values, pts, side="right") / a.n
     cdf_b = np.searchsorted(b.values, pts, side="right") / b.n
     return float(np.abs(cdf_a - cdf_b).max())
-
-
-def ks_statistic_rows(a, b) -> np.ndarray:
-    """ks_statistic of each row pair (a[i], b[i]), bit for bit, in whole-array
-    numpy calls.
-
-    Each row's sorted halves are merged by a stable argsort. At the last slot
-    of each run of tied values the integer cumsums of the merged membership
-    equal ks_statistic's searchsorted counts, and |c_a/n - c_b/m| there is the
-    same float expression; other slots are left out of the max.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError(f"expected two 2-D arrays with one row count, got {a.shape} and {b.shape}")
-    n, m = a.shape[1], b.shape[1]
-    if n == 0 or m == 0:
-        raise ValueError("empty sample")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("sample values must be finite")
-    pooled = np.concatenate([np.sort(a, axis=1), np.sort(b, axis=1)], axis=1)
-    order = np.argsort(pooled, axis=1, kind="stable")
-    ca = np.cumsum(order < n, axis=1)
-    diff = np.abs(ca / n - (np.arange(1, n + m + 1) - ca) / m)
-    merged = np.take_along_axis(pooled, order, axis=1)
-    diff[:, :-1][merged[:, :-1] == merged[:, 1:]] = 0.0
-    return diff.max(axis=1)
 
 
 def ks_critical_value(alpha: float, n: int, m: int) -> float:

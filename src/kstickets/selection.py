@@ -29,7 +29,6 @@ from .ksstat import (
     Sample,
     ks_pvalue_asymptotic,
     ks_statistic,
-    ks_statistic_rows,
     ks_tau,
 )
 
@@ -56,10 +55,12 @@ _DIV_FLOOR = 1e-8
 _KL_BINS = 64
 _KL_MASS_FLOOR = 1e-9
 _CHUNK_ELEMENTS = 1 << 15  # values per scoring block; see _blocks
-# Blocks scored at once by analyze_pair. Each holds up to about 3.6 MB of
-# float64 temporaries, and the traced peak of a fully moved 32,000 x 64 matrix
-# must stay below one float64 copy of it (16.4 MB): 3 in flight trace 12.3 to
-# 13.5 MB, 4 trace 15.2 to 16.3 MB, too close to the bound to allow.
+_KL_ROWS = 256  # rows whose KL bins _ks_kl_rows counts at once: 128 KiB per bin array
+# Shares scored at once by analyze_pair, each in its own _Workspace (2.1 MB at
+# d = 64). The traced peak of a 32,000 x 64 matrix must stay below one float64
+# copy of it (16.4 MB). Fully moved, 3 shares trace 9.2 to 9.8 MB and 4 trace
+# 11.6 to 11.7 MB; with 10% of rows moved, 8.4 and 10.5 MB. A fourth would
+# fit, but its speed-up has not been measured on more than two CPUs.
 _MAX_THREADS = 3
 
 SCORES_HEADER = "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency"
@@ -221,72 +222,203 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _histogram_kl_rows(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_histogram_kl of each row pair, bit for bit."""
-    rows, d = t.shape
-    lo = np.minimum(t.min(axis=1), b.min(axis=1))
-    hi = np.maximum(t.max(axis=1), b.max(axis=1))
-    # np.linspace's expression per row; lo < hi never gives a zero step for
-    # float32 values. At lo == hi any step puts both halves in one bin, which
-    # makes the KL 0.0 as _histogram_kl returns.
-    step = np.where(lo == hi, 1.0, (hi - lo) / _KL_BINS)
-    edges = np.arange(_KL_BINS + 1.0) * step[:, None] + lo[:, None]
-    edges[:, -1] = hi
-    # np.histogram with explicit edges counts e[k] <= x < e[k+1], the last bin
-    # closed: x's bin is #{1 <= k < _KL_BINS : e[k] <= x}. Guess it from the
-    # step, then move it against the edges themselves until it holds.
-    x = np.concatenate([t, b], axis=1)
-    at = np.clip(((x - lo[:, None]) / step[:, None]).astype(np.intp), 0, _KL_BINS - 1)
-    row_edges = np.arange(rows)[:, None] * (_KL_BINS + 1)
-    flat_edges = edges.ravel()
-    while True:
-        down = flat_edges[row_edges + at] > x
-        up = (at < _KL_BINS - 1) & (flat_edges[row_edges + at + 1] <= x)
-        if not (down.any() or up.any()):
-            break
-        at += up
-        at -= down
-    # one bincount over (row, half, bin): t's counts then b's for each row
-    at += np.repeat(np.arange(2 * rows) * _KL_BINS, d).reshape(rows, 2 * d)
-    counts = np.bincount(at.ravel(), minlength=2 * rows * _KL_BINS).reshape(rows, 2, _KL_BINS)
-    pt = np.maximum(counts[:, 0] / d, _KL_MASS_FLOOR)
-    pb = np.maximum(counts[:, 1] / d, _KL_MASS_FLOOR)
-    pt /= pt.sum(axis=1, keepdims=True)
-    pb /= pb.sum(axis=1, keepdims=True)
-    return np.sum(pt * np.log(pt / pb), axis=1)
+class _Workspace:
+    """Every block-sized array that one thread scores its blocks in.
+
+    Sized for the blocks _blocks(n, d) cuts. analyze_pair builds one per share
+    and fills it again, through out=, for every block of that share.
+    """
+
+    def __init__(self, n: int, d: int):
+        rows = min(n, max(1, _CHUNK_ELEMENTS // d))
+        self.d = d
+        # float64 casts for score_row's four cheap metrics: b becomes the
+        # guarded divisor, t the differences and then the quotients
+        casts = np.empty((2, rows, d))
+        self.b, self.t = casts
+        self.masks = np.empty((2, rows, d), dtype=bool)
+        # _ks_kl_rows runs once the cheap metrics are done, so the casts'
+        # memory holds its sort keys: one row of 2d per pair of rows
+        self.keys = casts.reshape(rows, 2 * d).view(np.int64)
+        # float32 halves, then per-slot ints, of the rows the kernel scores
+        self.pooled = np.empty(2 * rows * d, dtype=np.int32)
+        tail = min(rows, _KL_ROWS)
+        self.scratch = np.empty(max(2 * rows * d, tail * (_KL_BINS - 1)), dtype=np.int32)
+        self.ties = np.empty((rows, 2 * d), dtype=bool)
+        # the tuned values among each row's first j sorted slots, j = 0..2d
+        self.tuned_below = np.zeros((rows, 2 * d + 1), dtype=np.int32)
+        self.slots = np.arange(1, 2 * d + 1, dtype=np.int32)
+        # keys span [-2**32, 2**32): rows 2**34 apart never overlap
+        self.row_offset = np.arange(rows, dtype=np.int64) << 34
+        # the KL bins of up to _KL_ROWS rows at a time
+        self.grid = np.arange(1.0, _KL_BINS)
+        self.edges = np.empty((tail, _KL_BINS - 1))
+        self.edges32 = np.empty((tail, _KL_BINS - 1), dtype=np.float32)
+        self.rounded_down = np.empty((tail, _KL_BINS - 1), dtype=bool)
+        self.edge_keys = np.empty((tail, _KL_BINS - 1), dtype=np.int64)
+        self.pt, self.pb = np.empty((tail, _KL_BINS)), np.empty((tail, _KL_BINS))
+        self.tail_rows = np.arange(tail)
+
+    def halves(self, rows: int) -> np.ndarray:
+        """(2, rows, d) float32: base rows, then tuned rows."""
+        return self.pooled[: 2 * rows * self.d].view(np.float32).reshape(2, rows, self.d)
+
+    def ints(self, rows: int) -> np.ndarray:
+        """(rows, 2d) int32 over the same memory as halves(rows)."""
+        return self.pooled[: 2 * rows * self.d].reshape(rows, 2 * self.d)
+
+    def scratch_for(self, a: np.ndarray) -> np.ndarray:
+        """Scratch int32 of a's shape."""
+        return self.scratch[: a.size].reshape(a.shape)
 
 
-def _score_rows(b: np.ndarray, t: np.ndarray) -> dict[str, np.ndarray]:
-    """score_row's metrics but the p-value, one value per row of two float64
+def _flip(bits: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn float32 bit patterns read as int32 into ints that order as the
+    floats do, in place, or back: a negative float's magnitude bits invert.
+    -0.0 becomes -1, next to +0.0's 0."""
+    np.right_shift(bits, 31, out=scratch)
+    scratch &= 0x7FFFFFFF
+    bits ^= scratch
+
+
+def _bin_counts(below: np.ndarray, total: int, out: np.ndarray) -> None:
+    """The _KL_BINS bin counts of each row from the counts below its interior edges."""
+    out[:, 0] = below[:, 0]
+    np.subtract(below[:, 1:], below[:, :-1], out=out[:, 1:-1])
+    np.subtract(total, below[:, -1], out=out[:, -1])
+
+
+def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """ks_statistic and _histogram_kl(t, b) of each row pair of two float32
+    (rows, d) arrays, bit for bit, from one integer sort of each pooled row."""
+    rows, d = b.shape
+    keys, ties, tuned_below = ws.keys[:rows], ws.ties[:rows], ws.tuned_below[:rows]
+    # Each value as an int that orders as the floats do, shifted left once
+    # with the tuned half marked in bit 0. Adding +0.0 first turns -0.0 into
+    # +0.0, which float comparison holds equal to it.
+    halves = ws.halves(rows)
+    np.add(b, np.float32(0), out=halves[0])
+    np.add(t, np.float32(0), out=halves[1])
+    bits = halves.view(np.int32)
+    _flip(bits, ws.scratch_for(bits))
+    np.left_shift(bits[0], 1, out=keys[:, :d], dtype=np.int64)
+    np.left_shift(bits[1], 1, out=keys[:, d:], dtype=np.int64)
+    keys[:, d:] |= 1
+    keys.sort(axis=1)
+    # ties[s]: slot s holds the value of slot s + 1, so a run of ties goes on
+    ints = ws.ints(rows)
+    np.right_shift(keys, 1, out=ints)
+    np.equal(ints[:, :-1], ints[:, 1:], out=ties[:, :-1])
+    ties[:, -1] = False
+    ends = ints[:, [0, -1]]  # each row's least and greatest value
+    np.bitwise_and(keys, 1, out=ints)
+    np.cumsum(ints, axis=1, dtype=np.int32, out=tuned_below[:, 1:])
+
+    # KS: at slot s, c_b tuned and c_a = s + 1 - c_b base values lie at or
+    # below it, and |c_a - c_b| = |2 c_b - (s + 1)|. ks_statistic's D is the
+    # float |c_a/d - c_b/d| at the end of a tie run. A larger numerator always
+    # gives a larger float, so D is the largest float among the run ends
+    # whose numerator is the row's maximum; those floats can differ in the
+    # last ulp. Slots inside a run get -1, which never is the maximum: the
+    # last slot ends a run.
+    np.multiply(tuned_below[:, 1:], 2, out=ints)
+    ints -= ws.slots
+    np.abs(ints, out=ints)
+    np.copyto(ints, -1, where=ties)
+    np.equal(ints, ints.max(axis=1, keepdims=True), out=ties)
+    at = np.flatnonzero(ties)
+    row, slot = np.divmod(at, 2 * d)
+    cb = tuned_below.ravel()[at + row + 1]
+    gap = np.abs((slot + 1 - cb) / d - cb / d)
+    ks = np.maximum.reduceat(gap, np.flatnonzero(np.diff(row, prepend=-1)))
+
+    # KL: np.histogram's count below an interior edge e is the number of
+    # values x < e, and for a float32 x that is x < the least float32 >= e.
+    # Offset by row, the sorted keys are one ascending array for searchsorted.
+    _flip(ends, np.empty_like(ends))
+    lo, hi = ends.view(np.float32).astype(np.float64).T
+    step = (hi - lo) / _KL_BINS  # np.linspace's edges are k * step + lo
+    keys += ws.row_offset[:rows, None]
+    kl = np.empty(rows)
+    for r0 in range(0, rows, _KL_ROWS):
+        n = min(_KL_ROWS, rows - r0)
+        part = slice(r0, r0 + n)
+        edges, edges32, rounded_down = ws.edges[:n], ws.edges32[:n], ws.rounded_down[:n]
+        np.multiply(ws.grid, step[part, None], out=edges)
+        edges += lo[part, None]
+        np.copyto(edges32, edges, casting="same_kind")
+        np.less(edges32, edges, out=rounded_down)
+        edge_bits = edges32.view(np.int32)
+        _flip(edge_bits, ws.scratch_for(edge_bits))
+        # one int up is the next float32 up: the least float32 >= the edge
+        edge_keys = ws.edge_keys[:n]
+        np.add(edge_bits, rounded_down, out=edge_keys, dtype=np.int64)
+        edge_keys <<= 1
+        edge_keys += ws.row_offset[part, None]
+        # the slots below each edge, counted from the part's first slot; then
+        # the tuned values among them (into edges32's memory, free again)
+        below = np.searchsorted(keys[part].ravel(), edge_keys.ravel()).reshape(n, -1)
+        below += ws.tail_rows[:n, None]
+        tuned = edge_bits
+        np.take(tuned_below[part].ravel(), below, out=tuned, mode="clip")
+        below -= ws.tail_rows[:n, None] * (2 * d + 1)
+        below -= tuned
+        pt, pb = ws.pt[:n], ws.pb[:n]
+        _bin_counts(tuned, d, pt)
+        _bin_counts(below, d, pb)
+        for p in (pt, pb):
+            p /= d
+            np.maximum(p, _KL_MASS_FLOOR, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+        np.divide(pt, pb, out=pb)
+        np.log(pb, out=pb)
+        pb *= pt
+        kl[part] = np.sum(pb, axis=1)
+    return ks, kl
+
+
+def _score_rows(b32: np.ndarray, t32: np.ndarray, ws: _Workspace) -> dict[str, np.ndarray]:
+    """score_row's metrics but the p-value, one value per row of two float32
     (rows, d) arrays, by metric name."""
+    rows = len(b32)
+    b, t = ws.b[:rows], ws.t[:rows]
+    small, other = ws.masks[0, :rows], ws.masks[1, :rows]
+    np.copyto(b, b32)
+    np.copyto(t, t32)
+    if not (np.isfinite(b, out=small).all() and np.isfinite(t, out=small).all()):
+        raise ValueError("row values must be finite")
     norm_b = np.sqrt(_row_dot(b, b))
     norm_t = np.sqrt(_row_dot(t, t))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.clip(_row_dot(b, t) / (norm_b * norm_t), -1.0, 1.0)
     cos[(norm_b == 0.0) != (norm_t == 0.0)] = 0.0
     cos[(norm_b == 0.0) & (norm_t == 0.0)] = 1.0
-    diff = t - b
-    g = _guarded_divisor(b)
-    scores = {
-        "cos": cos,
-        "abs_l2": np.sqrt(_row_dot(diff, diff)),
-        "relative": np.mean(np.abs(t / g), axis=1),
-        "ratio": np.mean(np.abs(diff / g), axis=1),
-    }
+    # t's buffer holds t - b, then |t - b| / g, then |t| / g
+    diff = np.subtract(t, b, out=t)
+    scores = {"cos": cos, "abs_l2": np.sqrt(_row_dot(diff, diff))}
     # On a row with t == b, score_row's D is 0.0 (every tie run holds as many
     # values of b as of t) and its KL +0.0 (equal histograms: pt * log(1)), so
-    # only moved rows go through the two kernels. For finite values t - b is
-    # zero (or -0.0, which is falsy) exactly where t == b.
+    # only moved rows go through the kernel. For finite values t - b is zero
+    # (or -0.0, which is falsy) exactly where t == b.
     moved = diff.any(axis=1)
-    # dropped before the kernels run: a block that gathers its moved rows then
-    # peaks no higher than one scored whole with both still held
-    del diff, g
-    ks, kl = np.zeros(len(b)), np.zeros(len(b))
+    # _guarded_divisor(b), in place: |b| < _DIV_FLOOR exactly where -floor < b < floor
+    np.greater(b, -_DIV_FLOOR, out=small)
+    np.less(b, _DIV_FLOOR, out=other)
+    small &= other
+    g = np.copysign(_DIV_FLOOR, b, out=b, where=small)
+    for name, numerator in (("ratio", diff), ("relative", t32)):
+        q = np.divide(numerator, g, out=t)  # t32 is divided as its float64 cast
+        scores[name] = np.mean(np.abs(q, out=q), axis=1)
+    ks, kl = np.zeros(rows), np.zeros(rows)
     if moved.all():  # a fully moved block is scored whole, with no gather
-        ks, kl = ks_statistic_rows(b, t), _histogram_kl_rows(t, b)
+        ks, kl = _ks_kl_rows(b32, t32, ws)
     elif moved.any():
-        mb, mt = b[moved], t[moved]
-        ks[moved], kl[moved] = ks_statistic_rows(mb, mt), _histogram_kl_rows(mt, mb)
+        which = np.flatnonzero(moved)
+        mb, mt = ws.halves(which.size)
+        # mode="clip" lets take write into out directly; "raise" copies first
+        np.take(b32, which, axis=0, out=mb, mode="clip")
+        np.take(t32, which, axis=0, out=mt, mode="clip")
+        ks[moved], kl[moved] = _ks_kl_rows(mb, mt, ws)
     scores["ks_statistic"], scores["kl"] = ks, kl
     return scores
 
@@ -312,14 +444,11 @@ def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
 
     def score(share):
         try:
+            ws = _Workspace(v, d)
             for block in share:
                 if failed.is_set():
                     return
-                b = bm[block].astype(np.float64)
-                t = tm[block].astype(np.float64)
-                if not (np.isfinite(b).all() and np.isfinite(t).all()):
-                    raise ValueError("row values must be finite")
-                for name, values in _score_rows(b, t).items():
+                for name, values in _score_rows(bm[block], tm[block], ws).items():
                     columns[name][block] = values
         except BaseException:
             failed.set()
@@ -414,8 +543,9 @@ def compare_ticket_distributions(
     if not tickets.token_ids:
         return 1.0
     ids = np.array(tickets.token_ids)
+    ws = _Workspace(ids.size, am.shape[1])
     rejected = sum(
-        int(np.count_nonzero(ks_statistic_rows(am[ids[block]], bm[ids[block]]) > tau))
+        int(np.count_nonzero(_ks_kl_rows(am[ids[block]], bm[ids[block]], ws)[0] > tau))
         for block in _blocks(ids.size, am.shape[1])
     )
     return 1.0 - rejected / ids.size

@@ -17,7 +17,6 @@ from kstickets.selection import (
     _CHUNK_ELEMENTS,
     METRICS,
     _histogram_kl,
-    _histogram_kl_rows,
     ScoreTable,
     WinningTicketSet,
     analyze_pair,
@@ -31,6 +30,7 @@ from kstickets.selection import (
     write_scores_csv,
     write_ticket_file,
 )
+from oracles import _histogram_kl_rows, ks_statistic_rows
 
 
 def view_of(matrix):
@@ -589,6 +589,66 @@ def test_kl_rows_match_histogram_on_bin_edges():
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+def kernel_row_pairs(d, seed=0):
+    """(base, tuned) float32 row pairs of width d for the KS and KL kernel.
+
+    Values sit on the KL bin-edge grid of their pair and one float32 step to
+    either side of it; others are subnormals and +-0.0, heavy ties, rows
+    shifted apart, magnitudes near 1e37, and constant rows, equal and moved
+    by one float32 step.
+    """
+    rng = np.random.default_rng(seed + d)
+    f32 = np.float32
+    pairs = []
+    for lo, hi in ((-1.7, 2.3), (0.1, 0.1000003), (-3e-38, 5e-39), (-2e37, 3e37), (1.0, 1e6)):
+        lo, hi = f32(lo), f32(hi)
+        step = (float(hi) - float(lo)) / 64
+        near = (np.arange(65.0) * step + float(lo)).astype(f32)  # each edge, to nearest
+        grid = np.clip(np.concatenate([near, np.nextafter(near, f32(-np.inf)),
+                                       np.nextafter(near, f32(np.inf))]), lo, hi)
+        for _ in range(3):
+            b, t = rng.choice(grid, d), rng.choice(grid, d)
+            b[0], t[-1] = lo, hi  # the pair spans [lo, hi]: these are its edges
+            pairs.append((b, t))
+    tiny = np.array([-0.0, 0.0, 1e-45, -1e-45, 3e-45, -4e-45, 1e-40, -1e-39], dtype=f32)
+    quarter = rng.integers(-4, 5, d) / f32(4)
+    wide = rng.normal(size=d).astype(f32) * f32(1e37)
+    c = f32(0.3)
+    pairs += [
+        (rng.choice(tiny, d), rng.choice(tiny, d)),  # subnormals and +-0.0
+        (rng.choice(tiny, d), rng.choice(tiny[:2], d)),
+        (quarter, rng.integers(-4, 5, d) / f32(4)),  # heavy ties
+        (quarter, rng.permutation(quarter)),  # heavy ties, D = 0
+        (quarter, np.where(quarter == 0, f32(-0.0), quarter)),
+        (quarter, quarter + f32(5.0)),  # shifted apart, D = 1
+        (wide, wide + f32(1e37) * rng.normal(size=d).astype(f32)),  # near 1e37
+        (wide, rng.permutation(wide)),
+        (np.full(d, c), np.full(d, c)),  # constant, equal
+        (np.full(d, c), np.full(d, np.nextafter(c, f32(1.0)))),  # constant, one step apart
+        (np.full(d, c), np.append(np.full(d - 1, c), np.nextafter(c, f32(1.0)))),
+    ]
+    return [(np.asarray(x, dtype=f32), np.asarray(y, dtype=f32)) for x, y in pairs]
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 64, 65, 100, 768])
+def test_ks_kl_kernel_matches_the_float64_oracles_bit_for_bit(d):
+    # blocks of one workspace, the last one partial; row i is pool pair pairs[i]
+    pool = kernel_row_pairs(d)
+    pairs = np.random.default_rng(d).permutation(2 * chunk_rows(d) + 3) % len(pool)
+    base, tuned = (np.stack(side)[pairs] for side in zip(*pool))
+    ws = selection._Workspace(len(base), d)
+    ks, kl = np.empty(len(base)), np.empty(len(base))
+    for block in selection._blocks(len(base), d):
+        ks[block], kl[block] = selection._ks_kl_rows(base[block], tuned[block], ws)
+    b64, t64 = base.astype(np.float64), tuned.astype(np.float64)
+    assert ks.view(np.int64).tolist() == ks_statistic_rows(b64, t64).view(np.int64).tolist()
+    assert kl.view(np.int64).tolist() == _histogram_kl_rows(t64, b64).view(np.int64).tolist()
+    oracle = [score_row(b, t) for b, t in pool]
+    for name, got in (("ks_statistic", ks), ("kl", kl)):
+        want = np.array([getattr(s, name) for s in oracle])[pairs]
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+
 @given(st.integers(2, 9).flatmap(lambda d: st.lists(
     st.lists(st.integers(-4, 4), min_size=2 * d, max_size=2 * d), min_size=1, max_size=6,
 )))
@@ -664,9 +724,9 @@ def test_analyze_pair_shares_blocks_between_main_thread_and_pool(cpus, monkeypat
     main, threads_before = threading.get_ident(), threading.active_count()
     seen = []
 
-    def spy(b, t):
+    def spy(b, t, ws):
         seen.append((int(b[0, 0]), threading.get_ident(), threading.active_count()))
-        return score_rows(b, t)
+        return score_rows(b, t, ws)
 
     score_rows = selection._score_rows
     monkeypatch.setattr(selection, "_score_rows", spy)
@@ -677,6 +737,25 @@ def test_analyze_pair_shares_blocks_between_main_thread_and_pool(cpus, monkeypat
     if cpus == 1:  # no thread started at all
         assert all(count == threads_before for _, _, count in seen)
     assert threading.active_count() == threads_before
+
+
+def test_analyze_pair_builds_one_workspace_per_share(cpus, monkeypatch):
+    # every block of a share reuses its share's workspace
+    built = []
+    workspace = selection._Workspace
+
+    def counting(*args):
+        built.append(args)
+        return workspace(*args)
+
+    monkeypatch.setattr(selection, "_Workspace", counting)
+    d, r = 16, chunk_rows(16)
+    for v in (1, r, r + 1, 3 * r, 7 * r + 3):
+        built.clear()
+        base = np.random.default_rng(v).normal(size=(v, d))
+        analyze_pair(view_of(base), view_of(base + 1.0))
+        w = min(cpus, selection._MAX_THREADS, -(-v // r))
+        assert built == [(v, d)] * w
 
 
 @pytest.mark.parametrize("where", ["base", "tuned"])
@@ -813,7 +892,7 @@ def test_analyze_pair_runs_the_kernels_on_moved_rows_only(cpus, monkeypatch):
     rng = np.random.default_rng(1)
     base = rng.normal(size=(v, d)).astype(np.float32)
     base[:, 0] = np.arange(v)
-    calls = {"ks": [], "kl": []}
+    calls = {"ks_kl": []}
 
     def spying(name, kernel, base_arg):
         def spy(*args):
@@ -821,10 +900,7 @@ def test_analyze_pair_runs_the_kernels_on_moved_rows_only(cpus, monkeypatch):
             return kernel(*args)
         return spy
 
-    monkeypatch.setattr(selection, "ks_statistic_rows",
-                        spying("ks", selection.ks_statistic_rows, 0))
-    monkeypatch.setattr(selection, "_histogram_kl_rows",
-                        spying("kl", selection._histogram_kl_rows, 1))
+    monkeypatch.setattr(selection, "_ks_kl_rows", spying("ks_kl", selection._ks_kl_rows, 0))
 
     def kernel_calls(tuned):
         for seen in calls.values():
@@ -843,10 +919,10 @@ def test_analyze_pair_runs_the_kernels_on_moved_rows_only(cpus, monkeypatch):
     for seen in kernel_calls(tuned).values():
         assert sorted(i for rows in seen for i in rows) == moved.tolist()
 
-    assert kernel_calls(base.copy()) == {"ks": [], "kl": []}
+    assert kernel_calls(base.copy()) == {"ks_kl": []}
 
     blocks = [list(range(lo, min(lo + r, v))) for lo in range(0, v, r)]
-    assert kernel_calls(base + 1.0) == {"ks": blocks, "kl": blocks}
+    assert kernel_calls(base + 1.0) == {"ks_kl": blocks}
 
 
 def compare_oracle(tuned_a, tuned_b, tickets, alpha):
