@@ -30,11 +30,9 @@ from .ksstat import (
     Sample,
     ks_critical_value,
     ks_pvalue_asymptotic,
-    ks_pvalue_permutation,
     ks_statistic,
     ks_tau,
     ks_two_sample_test,
-    tau_from_pvalue_inversion,
 )
 from .selection import (
     ScoreTable,

@@ -59,8 +59,8 @@ _KL_ROWS = 256  # rows whose KL bins _ks_kl_rows counts at once: 128 KiB per bin
 # Shares scored at once by analyze_pair, each in its own _Workspace (2.1 MB at
 # d = 64). The traced peak of a 32,000 x 64 matrix must stay below one float64
 # copy of it (16.4 MB). Fully moved, 3 shares trace 9.2 to 9.8 MB and 4 trace
-# 11.6 to 11.7 MB; with 10% of rows moved, 8.4 and 10.5 MB. A fourth would
-# fit, but its speed-up has not been measured on more than two CPUs.
+# 11.5 to 11.7 MB; with 10% of rows moved, 8.9 to 9.2 and 10.8 to 11.2 MB. A
+# fourth would fit, but its speed-up has not been measured on more than two CPUs.
 _MAX_THREADS = 3
 
 SCORES_HEADER = "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency"
@@ -377,9 +377,12 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     return ks, kl
 
 
-def _score_rows(b32: np.ndarray, t32: np.ndarray, ws: _Workspace) -> dict[str, np.ndarray]:
-    """score_row's metrics but the p-value, one value per row of two float32
-    (rows, d) arrays, by metric name."""
+def _score_rows(
+    b32: np.ndarray, t32: np.ndarray, ws: _Workspace
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """score_row's cos, abs_l2, relative and ratio, one value per row of two
+    float32 (rows, d) arrays, by metric name; and the mask of the rows that
+    moved, which alone need the KS and KL kernel."""
     rows = len(b32)
     b, t = ws.b[:rows], ws.t[:rows]
     small, other = ws.masks[0, :rows], ws.masks[1, :rows]
@@ -409,18 +412,7 @@ def _score_rows(b32: np.ndarray, t32: np.ndarray, ws: _Workspace) -> dict[str, n
     for name, numerator in (("ratio", diff), ("relative", t32)):
         q = np.divide(numerator, g, out=t)  # t32 is divided as its float64 cast
         scores[name] = np.mean(np.abs(q, out=q), axis=1)
-    ks, kl = np.zeros(rows), np.zeros(rows)
-    if moved.all():  # a fully moved block is scored whole, with no gather
-        ks, kl = _ks_kl_rows(b32, t32, ws)
-    elif moved.any():
-        which = np.flatnonzero(moved)
-        mb, mt = ws.halves(which.size)
-        # mode="clip" lets take write into out directly; "raise" copies first
-        np.take(b32, which, axis=0, out=mb, mode="clip")
-        np.take(t32, which, axis=0, out=mt, mode="clip")
-        ks[moved], kl[moved] = _ks_kl_rows(mb, mt, ws)
-    scores["ks_statistic"], scores["kl"] = ks, kl
-    return scores
+    return scores, moved
 
 
 def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
@@ -430,7 +422,9 @@ def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
     float64 once; every value is bit-identical to score_row on that row. With
     W = min(CPUs, _MAX_THREADS) the calling thread scores blocks 0, W, 2W, ...
     and W - 1 pool threads the other residues (numpy releases the GIL inside
-    each call); one CPU starts no thread.
+    each call); one CPU starts no thread. Each share collects the moved rows
+    of its blocks and runs the KS and KL kernel on every full block's worth
+    of them, and once more on what is left at its end.
     """
     bm, tm = base.matrix, tuned.matrix
     if bm.shape != tm.shape:
@@ -438,18 +432,46 @@ def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
     v, d = bm.shape
     if d < 2:
         raise ValueError("rows must have at least 2 entries")
-    columns = {name: np.empty(v) for name in METRICS}
+    # rows that never reach the kernel keep D = 0.0 and KL = 0.0
+    columns = {name: np.zeros(v) for name in METRICS}
+    ks_column, kl_column = columns["ks_statistic"], columns["kl"]
     blocks = list(_blocks(v, d))
     failed = threading.Event()  # a failed share stops the others early
 
     def score(share):
         try:
             ws = _Workspace(v, d)
+            # the share's collected moved rows live in the kernel's own
+            # float32 halves, their row ids alongside
+            full = len(ws.b)
+            held_b, held_t = ws.halves(full)
+            ids = np.empty(full, dtype=np.intp)
+
+            def run_kernel(k):
+                # below a full set, the tuned rows move down to where
+                # ws.halves(k) expects them; numpy buffers the overlapping copy
+                ks_column[ids[:k]], kl_column[ids[:k]] = _ks_kl_rows(held_b[:k], held_t[:k], ws)
+
+            k = 0
             for block in share:
                 if failed.is_set():
                     return
-                for name, values in _score_rows(bm[block], tm[block], ws).items():
+                cheap, moved = _score_rows(bm[block], tm[block], ws)
+                for name, values in cheap.items():
                     columns[name][block] = values
+                which = np.flatnonzero(moved) + block.start
+                while which.size:
+                    n = min(which.size, full - k)
+                    # mode="clip" lets take write into out directly; "raise" copies first
+                    np.take(bm, which[:n], axis=0, out=held_b[k : k + n], mode="clip")
+                    np.take(tm, which[:n], axis=0, out=held_t[k : k + n], mode="clip")
+                    ids[k : k + n] = which[:n]
+                    k, which = k + n, which[n:]
+                    if k == full:
+                        run_kernel(k)
+                        k = 0
+            if k:
+                run_kernel(k)
         except BaseException:
             failed.set()
             raise

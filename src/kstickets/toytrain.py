@@ -8,6 +8,7 @@ Training is plain seeded minibatch SGD and bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,8 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode in ("partial", "frozen_complement") and self.tickets is None:
             raise ValueError(f"mode {self.mode!r} requires a ticket set")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -134,6 +135,8 @@ def generate_task(
         raise ValueError("vocab_size must be >= 4")
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if not math.isfinite(zipf_exponent):
+        raise ValueError(f"zipf_exponent must be finite, got {zipf_exponent}")
     rng = np.random.default_rng(seed)
     content = rng.choice(vocab_size, size=vocab_size // 2, replace=False)
     permuted = rng.permutation(content)

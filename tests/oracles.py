@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from kstickets.checkpoint import Checkpoint
+from kstickets.ksstat import Sample, ks_pvalue_asymptotic
 from kstickets.selection import _KL_BINS, _KL_MASS_FLOOR
 from kstickets.toytrain import ToyModel, _distinct_probs
 
@@ -92,3 +93,69 @@ def _histogram_kl_rows(t: np.ndarray, b: np.ndarray) -> np.ndarray:
     pt /= pt.sum(axis=1, keepdims=True)
     pb /= pb.sum(axis=1, keepdims=True)
     return np.sum(pt * np.log(pt / pb), axis=1)
+
+
+def ks_pvalue_permutation(a: Sample, b: Sample, trials: int, seed: int) -> float:
+    """Permutation estimate of the two-sample p-value.
+
+    Pools both samples and re-splits the sorted pool `trials` times into sizes
+    (n, m) with a seeded generator, each split one sequential urn walk
+    (selection sampling: slot s joins a with probability a-slots left / slots
+    left, so every split is equally likely). Returns (1 + #{D_split >=
+    D_observed}) / (trials + 1); the +1 keeps the estimate away from an exact
+    zero. CDF differences are compared through the integer numerator
+    |c_a*m - c_b*n| at the last slot of each run of tied values, so that ties
+    against the observed statistic are decided exactly. All trials walk at
+    once: memory is O(trials) and a call makes n+m passes over trials-long
+    arrays.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n, m = a.n, b.n
+    total = n + m
+    pool = np.sort(np.concatenate([a.values, b.values]))
+    # Evaluate only at the last slot of each run of tied values.
+    run_end = np.append(pool[:-1] != pool[1:], True)
+    ends = pool[run_end]
+    ca = np.searchsorted(a.values, ends, side="right")
+    cb = np.searchsorted(b.values, ends, side="right")
+    observed = int(np.abs(ca * m - cb * n).max())
+
+    rng = np.random.default_rng(seed)
+    # Buffers are reused: fresh per-slot temporaries are mmapped, at twice the time.
+    u = np.empty(trials)
+    left = np.full(trials, n, dtype=np.int64)  # a-slots left in each trial
+    gap = np.empty(trials, dtype=np.int64)
+    num = np.zeros(trials, dtype=np.int64)
+    for s in range(total):
+        rng.random(out=u)
+        u *= total - s
+        left -= u < left
+        if run_end[s]:
+            # c_a = n - left and c_b = s + 1 - c_a, so c_a*m - c_b*n is this gap
+            np.multiply(left, -total, out=gap)
+            gap += n * (total - s - 1)
+            np.maximum(num, np.abs(gap, out=gap), out=num)
+    return (1 + int((num >= observed).sum())) / (trials + 1)
+
+
+def tau_from_pvalue_inversion(alpha: float, n: int, m: int) -> float:
+    """Smallest statistic whose asymptotic p-value is <= alpha, by bisection.
+
+    Numerical counterpart of ks_critical_value; the two agree within a few
+    percent once n = m >= 256. Tolerance on the statistic is 1e-9.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if ks_pvalue_asymptotic(1.0, n, m) > alpha:
+        raise ValueError(
+            f"no statistic in [0, 1] reaches p <= {alpha} for n={n}, m={m}"
+        )
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-9:  # p is monotone in the statistic: ~30 halvings
+        mid = 0.5 * (lo + hi)
+        if ks_pvalue_asymptotic(mid, n, m) <= alpha:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -25,9 +25,7 @@ from kstickets.ksstat import (
     Sample,
     ks_critical_value,
     ks_pvalue_asymptotic,
-    ks_pvalue_permutation,
     ks_statistic,
-    tau_from_pvalue_inversion,
 )
 from kstickets.selection import (
     analyze_pair,
@@ -46,7 +44,7 @@ from kstickets.toytrain import (
     write_task_csv,
 )
 from kstickets.transfer import splice_partial_transfer
-from oracles import diff_rows
+from oracles import diff_rows, ks_pvalue_permutation, tau_from_pvalue_inversion
 
 
 def ok(n, text):

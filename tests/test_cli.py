@@ -433,6 +433,22 @@ def test_toy_train_on_a_header_only_task_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv, name", [
+    (["toy", "train", "--model", "{dir}/model.ckpt", "--task", "{dir}/task.csv",
+      "--mode", "embed", "--lr"], "learning_rate must be finite and > 0"),
+    (["toy", "gen", "--seed", "1", "--vocab", "16", "--pairs", "20", "--zipf"],
+     "zipf_exponent must be finite"),
+], ids=["train-lr", "gen-zipf"])
+def test_toy_non_finite_rates_exit_two_before_writing(tmp_path, capsys, argv, name, value):
+    write_checkpoint(model_to_checkpoint(init_model(1, 16, 4)), tmp_path / "model.ckpt")
+    write_task_csv(generate_task(1, 16, 20), tmp_path / "task.csv")
+    out = tmp_path / "out"
+    assert run([a.format(dir=tmp_path) for a in argv] + [value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {name}, got {float(value)}\n"
+    assert not out.exists()
+
+
 def test_certify_bad_alpha_list(workdir):
     (workdir / "log.csv").write_text(
         "example_id,position,reference_id,tuned_pred_id,tuned_p1,tuned_p2,"

@@ -11,13 +11,11 @@ from kstickets.ksstat import (
     Sample,
     ks_critical_value,
     ks_pvalue_asymptotic,
-    ks_pvalue_permutation,
     ks_statistic,
     ks_tau,
     ks_two_sample_test,
-    tau_from_pvalue_inversion,
 )
-from oracles import ks_statistic_rows
+from oracles import ks_pvalue_permutation, ks_statistic_rows, tau_from_pvalue_inversion
 
 
 def brute_force_ks(a: np.ndarray, b: np.ndarray) -> float:

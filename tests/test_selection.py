@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kstickets import cli, selection
 from kstickets._text import fmt_float
 from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding, write_checkpoint
-from kstickets.ksstat import Sample, ks_pvalue_permutation, ks_statistic, ks_tau
+from kstickets.ksstat import Sample, ks_statistic, ks_tau
 from kstickets.selection import (
     _CHUNK_ELEMENTS,
     METRICS,
@@ -30,7 +30,7 @@ from kstickets.selection import (
     write_scores_csv,
     write_ticket_file,
 )
-from oracles import _histogram_kl_rows, ks_statistic_rows
+from oracles import _histogram_kl_rows, ks_pvalue_permutation, ks_statistic_rows
 
 
 def view_of(matrix):
@@ -826,8 +826,8 @@ def test_analyze_pair_peak_stays_below_one_float64_matrix_on_any_cpu_count(monke
 
 @pytest.mark.parametrize("n", [2, 4, 64])
 def test_analyze_pair_peak_on_mostly_equal_rows_stays_below_one_float64_matrix(monkeypatch, n):
-    # a random 10% of rows drifted, the rest bit-identical: every block
-    # gathers its moved rows for the KS and KL kernels
+    # a random 10% of rows drifted, the rest bit-identical: each share
+    # collects its moved rows into full blocks for the KS and KL kernel
     monkeypatch.setattr(selection, "_cpu_count", lambda: n)
     v, d = 32000, 64
     rng = np.random.default_rng(0)
@@ -923,6 +923,53 @@ def test_analyze_pair_runs_the_kernels_on_moved_rows_only(cpus, monkeypatch):
 
     blocks = [list(range(lo, min(lo + r, v))) for lo in range(0, v, r)]
     assert kernel_calls(base + 1.0) == {"ks_kl": blocks}
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.6])
+def test_analyze_pair_runs_the_kernels_on_full_blocks_of_each_shares_moved_rows(
+    cpus, monkeypatch, fraction
+):
+    # row i of base starts with the value i, so each kernel call names its rows
+    d, r = 16, chunk_rows(16)
+    v = 12 * r + 5
+    rng = np.random.default_rng(2)
+    base = rng.normal(size=(v, d)).astype(np.float32)
+    base[:, 0] = np.arange(v)
+    tuned = base.copy()
+    moved = np.flatnonzero(rng.random(v) < fraction)
+    tuned[moved, 1] += np.float32(1.0)
+    calls = []
+    kernel = selection._ks_kl_rows
+
+    def spy(b, t, ws):
+        calls.append(b[:, 0].astype(int).tolist())
+        return kernel(b, t, ws)
+
+    monkeypatch.setattr(selection, "_ks_kl_rows", spy)
+    analyze_pair(view_of(base), view_of(tuned))
+    w = min(cpus, selection._MAX_THREADS)
+    share_of = moved // r % w  # blocks go to the shares by residue
+    for share in range(w):
+        # a share's calls run in order on one thread, and no row crosses shares
+        mine = [rows for rows in calls if rows[0] // r % w == share]
+        assert all(i // r % w == share for rows in mine for i in rows)
+        want = moved[share_of == share]
+        assert len(mine) == -(-want.size // r)
+        assert all(len(rows) == r for rows in mine[:-1])
+        assert [i for rows in mine for i in rows] == want.tolist()
+
+
+@pytest.mark.parametrize("d", [2, 7, 64, 768])
+def test_analyze_pair_matches_score_row_when_moved_rows_cross_block_ends_at_any_cpu_count(cpus, d):
+    # a random 60% moved: a share's collected rows fill up in the middle of a
+    # block and carry over its end
+    equal, moved = equal_and_moved_pools(d)
+    rng = np.random.default_rng(d)
+    pairs = rng.permutation(5 * chunk_rows(d) + 3) % len(equal)
+    hits = rng.random(len(pairs)) < 0.6
+    pairs[hits] = len(equal) + rng.integers(0, len(moved), hits.sum())
+    base, tuned = (np.stack(side)[pairs] for side in zip(*equal + moved))
+    assert_matches_score_row(base, tuned, pairs)
 
 
 def compare_oracle(tuned_a, tuned_b, tickets, alpha):

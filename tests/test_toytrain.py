@@ -76,6 +76,11 @@ class TestGenerateTask:
         with pytest.raises(ValueError, match="vocab_size"):
             generate_task(0, 3, 10, 1.0)
 
+    @pytest.mark.parametrize("zipf", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_zipf_exponent_is_rejected(self, zipf):
+        with pytest.raises(ValueError, match=f"zipf_exponent must be finite, got {zipf}"):
+            generate_task(0, 16, 10, zipf)
+
 
 class TestInitModel:
     def test_deterministic(self):
@@ -188,6 +193,12 @@ class TestTrain:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             TrainConfig(mode="adapter")
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        # NaN passes a plain "<= 0" check and would train a NaN model
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {lr}"):
+            TrainConfig(mode="embed", learning_rate=lr)
 
     def test_vocab_mismatch(self):
         task, _ = small_setup()
