@@ -58,9 +58,9 @@ _CHUNK_ELEMENTS = 1 << 15  # values per scoring block; see _blocks
 _KL_ROWS = 256  # rows whose KL bins _ks_kl_rows counts at once: 128 KiB per bin array
 # Shares scored at once by analyze_pair, each in its own _Workspace (2.1 MB at
 # d = 64). The traced peak of a 32,000 x 64 matrix must stay below one float64
-# copy of it (16.4 MB). Fully moved, 3 shares trace 9.2 to 9.8 MB and 4 trace
-# 11.5 to 11.7 MB; with 10% of rows moved, 8.9 to 9.2 and 10.8 to 11.2 MB. A
-# fourth would fit, but its speed-up has not been measured on more than two CPUs.
+# copy of it (16.4 MB). On 2 CPUs, fully moved, 3 shares trace 10.2 to 10.9 MB
+# and 4 trace 10.1 to 10.4 MB; with 10% of rows moved, 8.6-9.1 and 8.6-8.9 MB.
+# A fourth would fit, but its speed-up has not been measured on more than two CPUs.
 _MAX_THREADS = 3
 
 SCORES_HEADER = "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency"
@@ -377,6 +377,22 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     return ks, kl
 
 
+def _ks_kl_of(
+    bm: np.ndarray, tm: np.ndarray, ids: np.ndarray, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """_ks_kl_rows of the rows ids of two float32 (V, d) matrices, in full
+    blocks of ws but the last: D and KL in the order of ids."""
+    ks, kl = np.empty(ids.size), np.empty(ids.size)
+    for block in _blocks(ids.size, ws.d):
+        rows = ids[block]
+        b, t = ws.halves(rows.size)
+        # mode="clip" lets take write into out directly; "raise" copies first
+        np.take(bm, rows, axis=0, out=b, mode="clip")
+        np.take(tm, rows, axis=0, out=t, mode="clip")
+        ks[block], kl[block] = _ks_kl_rows(b, t, ws)
+    return ks, kl
+
+
 def _score_rows(
     b32: np.ndarray, t32: np.ndarray, ws: _Workspace
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -422,9 +438,8 @@ def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
     float64 once; every value is bit-identical to score_row on that row. With
     W = min(CPUs, _MAX_THREADS) the calling thread scores blocks 0, W, 2W, ...
     and W - 1 pool threads the other residues (numpy releases the GIL inside
-    each call); one CPU starts no thread. Each share collects the moved rows
-    of its blocks and runs the KS and KL kernel on every full block's worth
-    of them, and once more on what is left at its end.
+    each call); one CPU starts no thread. Each share scores the cheap metrics
+    of its blocks first, then its moved rows in full KS and KL kernel blocks.
     """
     bm, tm = base.matrix, tuned.matrix
     if bm.shape != tm.shape:
@@ -441,37 +456,18 @@ def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
     def score(share):
         try:
             ws = _Workspace(v, d)
-            # the share's collected moved rows live in the kernel's own
-            # float32 halves, their row ids alongside
-            full = len(ws.b)
-            held_b, held_t = ws.halves(full)
-            ids = np.empty(full, dtype=np.intp)
-
-            def run_kernel(k):
-                # below a full set, the tuned rows move down to where
-                # ws.halves(k) expects them; numpy buffers the overlapping copy
-                ks_column[ids[:k]], kl_column[ids[:k]] = _ks_kl_rows(held_b[:k], held_t[:k], ws)
-
-            k = 0
+            moved_ids = []
             for block in share:
                 if failed.is_set():
                     return
                 cheap, moved = _score_rows(bm[block], tm[block], ws)
                 for name, values in cheap.items():
                     columns[name][block] = values
-                which = np.flatnonzero(moved) + block.start
-                while which.size:
-                    n = min(which.size, full - k)
-                    # mode="clip" lets take write into out directly; "raise" copies first
-                    np.take(bm, which[:n], axis=0, out=held_b[k : k + n], mode="clip")
-                    np.take(tm, which[:n], axis=0, out=held_t[k : k + n], mode="clip")
-                    ids[k : k + n] = which[:n]
-                    k, which = k + n, which[n:]
-                    if k == full:
-                        run_kernel(k)
-                        k = 0
-            if k:
-                run_kernel(k)
+                moved_ids.append(np.flatnonzero(moved) + block.start)
+            if failed.is_set():
+                return
+            ids = np.concatenate(moved_ids)
+            ks_column[ids], kl_column[ids] = _ks_kl_of(bm, tm, ids, ws)
         except BaseException:
             failed.set()
             raise
@@ -565,12 +561,8 @@ def compare_ticket_distributions(
     if not tickets.token_ids:
         return 1.0
     ids = np.array(tickets.token_ids)
-    ws = _Workspace(ids.size, am.shape[1])
-    rejected = sum(
-        int(np.count_nonzero(_ks_kl_rows(am[ids[block]], bm[ids[block]], ws)[0] > tau))
-        for block in _blocks(ids.size, am.shape[1])
-    )
-    return 1.0 - rejected / ids.size
+    ks, _ = _ks_kl_of(am, bm, ids, _Workspace(ids.size, am.shape[1]))
+    return 1.0 - np.count_nonzero(ks > tau) / ids.size
 
 
 def write_scores_csv(scores: ScoreTable, path) -> None:

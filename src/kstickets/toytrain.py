@@ -141,8 +141,12 @@ def generate_task(
     content = rng.choice(vocab_size, size=vocab_size // 2, replace=False)
     permuted = rng.permutation(content)
     ranks = np.arange(1, content.size + 1, dtype=np.float64)
-    weights = ranks ** (-float(zipf_exponent))
-    weights /= weights.sum()
+    with np.errstate(over="ignore"):
+        weights = ranks ** (-float(zipf_exponent))
+        total = weights.sum()
+    if not (np.isfinite(weights).all() and np.isfinite(total)):
+        raise ValueError(f"zipf_exponent must keep the Zipf weights finite, got {zipf_exponent}")
+    weights /= total
     idx = rng.choice(content.size, size=n_pairs, p=weights)
     return SyntheticTask(vocab_size=vocab_size, sources=content[idx], targets=permuted[idx])
 

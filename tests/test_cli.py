@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,20 @@ def test_toy_non_finite_rates_exit_two_before_writing(tmp_path, capsys, argv, na
     out = tmp_path / "out"
     assert run([a.format(dir=tmp_path) for a in argv] + [value, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {name}, got {float(value)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("zipf", ["-93", "-93.1", "-1000"])
+def test_toy_gen_overflowing_zipf_exits_two_before_writing(tmp_path, capsys, zipf):
+    # finite exponents whose weights rank ** -zipf overflow, with no numpy warning
+    out = tmp_path / "task.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["toy", "gen", "--seed", "1", "--vocab", "4096", "--pairs", "20",
+                    "--zipf", zipf, "--out", str(out)])
+    assert code == 2
+    err = f"error: zipf_exponent must keep the Zipf weights finite, got {float(zipf)}\n"
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 

@@ -958,6 +958,27 @@ def test_analyze_pair_runs_the_kernels_on_full_blocks_of_each_shares_moved_rows(
         assert all(len(rows) == r for rows in mine[:-1])
         assert [i for rows in mine for i in rows] == want.tolist()
 
+    # compare_ticket_distributions scores its ticket rows through the same
+    # loop, in one workspace
+    built = []
+    workspace = selection._Workspace
+
+    def counting(*args):
+        built.append(args)
+        return workspace(*args)
+
+    monkeypatch.setattr(selection, "_Workspace", counting)
+    for size in (1, r, 2 * r + 1):
+        calls.clear()
+        built.clear()
+        ids = np.sort(rng.choice(v, size, replace=False))
+        tickets = WinningTicketSet(method="ks", vocab_size=v, token_ids=ids)
+        compare_ticket_distributions(view_of(base), view_of(tuned), tickets, 0.05)
+        assert len(built) == 1
+        assert len(calls) == -(-size // r)
+        assert all(len(rows) == r for rows in calls[:-1])
+        assert [i for rows in calls for i in rows] == ids.tolist()
+
 
 @pytest.mark.parametrize("d", [2, 7, 64, 768])
 def test_analyze_pair_matches_score_row_when_moved_rows_cross_block_ends_at_any_cpu_count(cpus, d):

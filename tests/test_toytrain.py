@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ class TestGenerateTask:
     def test_non_finite_zipf_exponent_is_rejected(self, zipf):
         with pytest.raises(ValueError, match=f"zipf_exponent must be finite, got {zipf}"):
             generate_task(0, 16, 10, zipf)
+
+    @pytest.mark.parametrize("zipf", [-93.0, -93.1, -1000.0])
+    def test_zipf_exponent_whose_weights_overflow_is_rejected(self, zipf):
+        # 2048 content ranks: from -93 the weights' sum overflows, from -93.1 the weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"keep the Zipf weights finite, got {zipf}"):
+                generate_task(0, 4096, 10, zipf)
+
+    def test_zipf_exponent_just_short_of_overflow_is_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            task = generate_task(0, 4096, 100, -92.5)
+        assert task.n_pairs == 100
 
 
 class TestInitModel:
