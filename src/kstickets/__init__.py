@@ -20,7 +20,6 @@ from .checkpoint import (
     EmbeddingView,
     TensorRecord,
     get_embedding,
-    import_csv_matrix,
     read_checkpoint,
     validate_pair,
     write_checkpoint,

@@ -115,10 +115,9 @@ def blank_cells(column, n: int) -> np.ndarray:
     return np.fromiter((cell is None for cell in column), dtype=bool, count=n)
 
 
-def read_csv(path, header: str | None, parsers, what: str) -> list:
-    """The columns of a CSV whose first line is header, or of a headerless one
-    when header is None: parsers[j], or one Column for all, converts every cell
-    of column j, and each row has as many cells as the header or the first row.
+def read_csv(path, header: str, parsers, what: str) -> list:
+    """The columns of a CSV whose first line is header: parsers[j] converts
+    every cell of column j, and each row has as many cells as the header.
 
     numpy's C parser reads the body first; its numpy columns are returned where
     they are sure to equal Python's parse (see _c_columns), and an optional
@@ -128,18 +127,15 @@ def read_csv(path, header: str | None, parsers, what: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     lines = text.splitlines()
-    headed = header is not None
-    if headed and (not lines or lines[0] != header):
+    if not lines or lines[0] != header:
         raise ValueError(f"{path}: not a {what} file (bad header)")
-    rows = lines[headed:]
-    ncells = (header if headed else next(iter(rows), "")).count(",") + 1
-    if isinstance(parsers, Column):
-        parsers = (parsers,) * ncells
-    return (_c_columns(text, rows, parsers, ncells, headed)
-            or _python_columns(path, rows, parsers, what, ncells, headed))
+    rows = lines[1:]
+    ncells = header.count(",") + 1
+    return (_c_columns(text, rows, parsers, ncells)
+            or _python_columns(path, rows, parsers, what, ncells))
 
 
-def _c_columns(text: str, rows: list[str], parsers, ncells: int, headed: bool) -> list | None:
+def _c_columns(text: str, rows: list[str], parsers, ncells: int) -> list | None:
     """The columns np.loadtxt parses from rows, or None wherever its answer
     could differ from Python's: it raised or warned, it skipped a row, a
     row's cell count is not ncells, or a value fails valid.
@@ -156,7 +152,7 @@ def _c_columns(text: str, rows: list[str], parsers, ncells: int, headed: bool) -
     # Every row has exactly ncells cells: the commas add up, numpy found the
     # used cells of every row, and every row ends with the blank ones.
     blank = "," * (ncells - used)
-    if text.count(",") != (len(rows) + headed) * (ncells - 1):
+    if text.count(",") != (len(rows) + 1) * (ncells - 1):
         return None
     if blank and text.count(blank + "\n") + text.endswith(blank) != len(rows):
         return None
@@ -177,8 +173,7 @@ def _c_columns(text: str, rows: list[str], parsers, ncells: int, headed: bool) -
     return parsed
 
 
-def _python_columns(path, rows: list[str], parsers, what: str, ncells: int,
-                    headed: bool) -> list[list]:
+def _python_columns(path, rows: list[str], parsers, what: str, ncells: int) -> list[list]:
     """Python's parse of rows, one list per column: the reference answer, and
     the only source of the error text of a bad row."""
     try:
@@ -187,7 +182,7 @@ def _python_columns(path, rows: list[str], parsers, what: str, ncells: int,
         cells = ",".join(rows).split(",") if rows else []
         return [list(map(parse, cells[j::ncells])) for j, parse in enumerate(parsers)]
     except ValueError:
-        for lineno, row in enumerate(rows, start=1 + headed):  # find the first bad row
+        for lineno, row in enumerate(rows, start=2):  # find the first bad row
             cells = row.split(",")
             try:
                 if len(cells) != ncells:

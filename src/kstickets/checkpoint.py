@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._text import Column, atomic_open, read_csv
+from ._text import atomic_open
 
 __all__ = [
     "CheckpointError",
@@ -27,7 +27,6 @@ __all__ = [
     "read_checkpoint",
     "get_embedding",
     "validate_pair",
-    "import_csv_matrix",
 ]
 
 MAGIC = b"KSLT"
@@ -218,20 +217,3 @@ def validate_pair(
         )
     return vb, vt
 
-
-def import_csv_matrix(path, tensor_name: str) -> Checkpoint:
-    """Build a single-tensor checkpoint from a headerless numeric CSV. A cell
-    must be finite as float32: below 2**128 - 2**103 (halfway from float32's
-    largest value to 2**128) in magnitude, as from there it rounds to inf."""
-    cell = Column(np.float64, valid=lambda x: np.abs(x) < 2.0**128 - 2.0**103,
-                  invalid="cell {} is not a finite float32")
-    try:
-        columns = read_csv(path, None, cell, "matrix")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
-    if not len(columns[0]):
-        raise CheckpointError(f"{path}: no rows")
-    data = np.column_stack(columns).astype(np.float32)
-    return Checkpoint([TensorRecord(tensor_name, data.shape, data)])

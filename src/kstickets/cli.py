@@ -142,10 +142,12 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_select(args) -> None:
+    if args.alpha is not None and args.dim is None:
+        raise _UsageError("--alpha requires --dim")
+    if args.method is not None and args.top_k is None:
+        raise _UsageError("--method requires --top-k")
     scores = read_scores_csv(args.scores)
     if args.alpha is not None:
-        if args.dim is None:
-            raise _UsageError("--alpha requires --dim")
         tickets = select_by_alpha(scores, args.alpha, args.dim)
         if (off := _off_lattice(scores.ks_statistic, args.dim)).size:
             i = int(off[0])
@@ -155,8 +157,6 @@ def _cmd_select(args) -> None:
                 f"analyzed at another --dim?"
             )
     else:
-        if args.top_k is None:
-            raise _UsageError("--method requires --top-k")
         tickets = select_top_k(scores, args.method, args.top_k)
     write_ticket_file(tickets, args.out)
 
@@ -175,15 +175,15 @@ def _cmd_transfer(args) -> None:
 
 
 def _cmd_certify(args) -> None:
-    log = read_prediction_log(args.log)
-    if args.first_k is not None:
-        log = filter_first_k(log, args.first_k)
     try:
         alphas = [float(a) for a in args.alpha.split(",") if a]
     except ValueError as exc:
         raise _UsageError(f"bad --alpha list: {args.alpha!r}") from exc
     if not alphas:
         raise _UsageError("at least one alpha required")
+    log = read_prediction_log(args.log)
+    if args.first_k is not None:
+        log = filter_first_k(log, args.first_k)
     if not len(log):
         kept = "" if args.first_k is None else f" at a position below --first-k {args.first_k}"
         raise ValueError(f"{args.log}: no records{kept}")
@@ -207,13 +207,11 @@ def _cmd_toy_init(args) -> None:
 
 
 def _cmd_toy_train(args) -> None:
+    if args.tickets is None and args.mode in ("partial", "frozen_complement"):
+        raise _UsageError(f"--mode {args.mode} requires --tickets")
     model = model_from_checkpoint(read_checkpoint(args.model))
     task = read_task_csv(args.task, model.vocab_size)
-    tickets = None
-    if args.tickets is not None:
-        tickets = read_ticket_file(args.tickets)
-    elif args.mode in ("partial", "frozen_complement"):
-        raise _UsageError(f"--mode {args.mode} requires --tickets")
+    tickets = None if args.tickets is None else read_ticket_file(args.tickets)
     config = TrainConfig(
         mode=args.mode,
         tickets=tickets,

@@ -528,6 +528,8 @@ def select_top_k(scores: ScoreTable, metric: str, k: int) -> WinningTicketSet:
 
 def count_frequencies(corpus: Iterable[int], vocab_size: int) -> np.ndarray:
     """Exact occurrence counts per token id; absent ids count 0."""
+    if vocab_size < 0:
+        raise ValueError(f"vocab_size must be >= 0, got {vocab_size}")
     ids = np.asarray(corpus if isinstance(corpus, np.ndarray) else list(corpus), dtype=np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
     if bad.size:

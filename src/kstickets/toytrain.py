@@ -75,6 +75,12 @@ class ToyModel:
         return self.embedding.shape[1]
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's own error for a negative seed does not name it
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class TrainConfig:
     mode: str
@@ -95,6 +101,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -131,6 +138,7 @@ def generate_task(
     seed: int, vocab_size: int, n_pairs: int, zipf_exponent: float = 1.5
 ) -> SyntheticTask:
     """Seeded Zipf-weighted token-mapping task over half the vocabulary."""
+    _check_seed(seed)
     if vocab_size < 4:
         raise ValueError("vocab_size must be >= 4")
     if n_pairs < 1:
@@ -153,6 +161,7 @@ def generate_task(
 
 def init_model(seed: int, vocab_size: int, dim: int) -> ToyModel:
     """Both matrices i.i.d. uniform in [-0.1, 0.1] from one seeded stream."""
+    _check_seed(seed)
     if vocab_size < 1 or dim < 1:
         raise ValueError("vocab_size and dim must be >= 1")
     rng = np.random.default_rng(seed)

@@ -3,6 +3,8 @@ Nothing in the package or the CLI calls them."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from kstickets.checkpoint import Checkpoint
@@ -159,3 +161,10 @@ def tau_from_pvalue_inversion(alpha: float, n: int, m: int) -> float:
         else:
             lo = mid
     return hi
+
+
+def exact_equal_size_pvalue(k: int, d: int) -> float:
+    """P(D >= k/d) for n = m = d without ties, Gnedenko & Korolyuk (1951):
+    2 * sum_{j>=1} (-1)^(j-1) C(2d, d-jk) / C(2d, d), in integers."""
+    num = sum((-1) ** (j - 1) * math.comb(2 * d, d - j * k) for j in range(1, d // k + 1))
+    return 2 * num / math.comb(2 * d, d)

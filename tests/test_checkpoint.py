@@ -2,7 +2,6 @@ import os
 import struct
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from kstickets.checkpoint import (
     CheckpointError,
     TensorRecord,
     get_embedding,
-    import_csv_matrix,
     read_checkpoint,
     validate_pair,
     write_checkpoint,
@@ -346,61 +344,3 @@ class TestValidatePair:
         b = make_ckpt(("other", (8, 4)))
         with pytest.raises(CheckpointError, match="tensor not found"):
             validate_pair(a, b, "embed")
-
-
-class TestCsvImport:
-    def test_small_matrix(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,4\n")
-        ckpt = import_csv_matrix(path, "m")
-        t = ckpt.tensor("m")
-        assert t.shape == (2, 2)
-        np.testing.assert_array_equal(get_embedding(ckpt, "m").matrix, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_ragged(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(CheckpointError, match="line 2"):
-            import_csv_matrix(path, "m")
-
-    def test_non_numeric(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,x\n")
-        with pytest.raises(CheckpointError, match=f"{path}: bad matrix row at line 2: .*'x'"):
-            import_csv_matrix(path, "m")
-
-    @pytest.mark.parametrize("cell", ["1e39", "-1e39"])
-    def test_cell_beyond_float32_names_path_and_line(self, tmp_path, cell):
-        # finite as float64, inf as float32: rejected by the cell check, with
-        # no overflow warning from the float32 cast
-        path = tmp_path / "m.csv"
-        path.write_text(f"1,2\n3,{cell}\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(CheckpointError, match=f"{path}: bad matrix row at line 2: "):
-                import_csv_matrix(path, "m")
-
-    def test_float32_max_cell_is_kept(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,3.4028235e38\n")
-        data = import_csv_matrix(path, "m").tensor("m").data
-        assert data[3] == np.finfo(np.float32).max
-
-    def test_empty(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("")
-        with pytest.raises(CheckpointError, match="no rows"):
-            import_csv_matrix(path, "m")
-
-    def test_unreadable_path(self, tmp_path):
-        with pytest.raises(CheckpointError, match=f"cannot read {tmp_path}: "):
-            import_csv_matrix(tmp_path, "m")  # a directory
-
-    def test_round_trips_through_checkpoint(self, tmp_path):
-        csv = tmp_path / "m.csv"
-        csv.write_text("0.5,-1.25\n3.75,2\n")
-        ckpt = import_csv_matrix(csv, "embed")
-        out = tmp_path / "m.ckpt"
-        write_checkpoint(ckpt, out)
-        back = read_checkpoint(out)
-        assert back.tensor("embed").data.tobytes() == ckpt.tensor("embed").data.tobytes()

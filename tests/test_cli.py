@@ -464,6 +464,33 @@ def test_toy_gen_overflowing_zipf_exits_two_before_writing(tmp_path, capsys, zip
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["toy", "gen", "--seed", "-1", "--vocab", "16", "--pairs", "20"], "seed must be >= 0, got -1"),
+    (["toy", "init", "--seed", "-1", "--vocab", "16", "--dim", "4"], "seed must be >= 0, got -1"),
+    (["toy", "train", "--model", "{dir}/model.ckpt", "--task", "{dir}/task.csv",
+      "--mode", "embed", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["freq", "--corpus", "{dir}/empty.txt", "--vocab", "-1"], "vocab_size must be >= 0, got -1"),
+    (["freq", "--corpus", "{dir}/corpus.txt", "--vocab", "-1"], "vocab_size must be >= 0, got -1"),
+], ids=["gen-seed", "init-seed", "train-seed", "freq-vocab-empty-corpus", "freq-vocab"])
+def test_negative_seed_and_vocab_exit_two_before_writing(tmp_path, capsys, argv, message):
+    write_checkpoint(model_to_checkpoint(init_model(1, 16, 4)), tmp_path / "model.ckpt")
+    write_task_csv(generate_task(1, 16, 20), tmp_path / "task.csv")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "corpus.txt").write_text("1 2 3\n")
+    out = tmp_path / "out"
+    assert run([a.format(dir=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_freq_vocab_zero_on_an_empty_corpus_writes_a_header_only_csv(tmp_path):
+    (tmp_path / "empty.txt").write_text("")
+    out = tmp_path / "counts.csv"
+    assert run(["freq", "--corpus", str(tmp_path / "empty.txt"), "--vocab", "0",
+                "--out", str(out)]) == 0
+    assert out.read_text() == "token_id,count\n"
+
+
 def test_certify_bad_alpha_list(workdir):
     (workdir / "log.csv").write_text(
         "example_id,position,reference_id,tuned_pred_id,tuned_p1,tuned_p2,"
@@ -697,6 +724,28 @@ def test_option_errors_write_nothing(workdir, capsys, argv, code, message):
     out = workdir / "out.txt"
     assert run([a.format(dir=workdir) for a in argv] + ["--out", str(out)]) == code
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["select", "--scores", "{dir}/absent.csv", "--alpha", "0.05"], "--alpha requires --dim"),
+    (["select", "--scores", "{dir}/absent.csv", "--method", "ks"], "--method requires --top-k"),
+    (["certify", "--log", "{dir}/absent.csv", "--dim", "4", "--alpha", ","],
+     "at least one alpha required"),
+    (["certify", "--log", "{dir}/absent.csv", "--dim", "4", "--alpha", "0.05,x"],
+     "bad --alpha list: '0.05,x'"),
+    (["toy", "train", "--model", "{dir}/absent.ckpt", "--task", "{dir}/absent.csv",
+      "--mode", "partial"], "--mode partial requires --tickets"),
+    (["toy", "train", "--model", "{dir}/absent.ckpt", "--task", "{dir}/absent.csv",
+      "--mode", "frozen_complement"], "--mode frozen_complement requires --tickets"),
+], ids=["select-alpha-without-dim", "select-method-without-top-k", "certify-no-alpha",
+        "certify-bad-alpha", "train-partial-without-tickets",
+        "train-frozen-complement-without-tickets"])
+def test_usage_errors_come_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # every input named here is absent: reading one would exit 2 instead
+    out = tmp_path / "out.txt"
+    assert run([a.format(dir=tmp_path) for a in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,12 @@ from kstickets.ksstat import (
     ks_tau,
     ks_two_sample_test,
 )
-from oracles import ks_pvalue_permutation, ks_statistic_rows, tau_from_pvalue_inversion
+from oracles import (
+    exact_equal_size_pvalue,
+    ks_pvalue_permutation,
+    ks_statistic_rows,
+    tau_from_pvalue_inversion,
+)
 
 
 def brute_force_ks(a: np.ndarray, b: np.ndarray) -> float:
@@ -239,13 +245,6 @@ class TestPermutationPvalue:
             assert abs(asym - perm) <= 0.03
 
 
-def exact_equal_size_pvalue(k: int, d: int) -> float:
-    """P(D >= k/d) for n = m = d without ties, Gnedenko & Korolyuk (1951):
-    2 * sum_{j>=1} (-1)^(j-1) C(2d, d-jk) / C(2d, d), in integers."""
-    num = sum((-1) ** (j - 1) * math.comb(2 * d, d - j * k) for j in range(1, d // k + 1))
-    return 2 * num / math.comb(2 * d, d)
-
-
 def assert_within_4_sd(estimate: float, p: float, trials: int) -> None:
     """The estimate (1 + hits) / (trials + 1) against its mean and SD under p."""
     mean = (1 + trials * p) / (trials + 1)
@@ -298,6 +297,59 @@ class TestPermutationMatchesExactNull:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+# ks_tau's true size at n = m = d, against the exact equal-size null. On each
+# grid point, k_tau is the first k with k/d > ks_tau(alpha, d) (None: tau
+# never rejects), and k_exact the first k >= 1 with exact P(D >= k/d) <= alpha.
+TAU_GRID_D = (2, 3, 4, 5, 8, 16, 32, 64, 100, 128, 256, 512, 768)
+TAU_GRID_ALPHA = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
+# (d, alpha): (k_tau, k_exact), wherever the two differ
+TAU_OFF_EXACT = {
+    (4, 0.75): (2, 3), (5, 0.01): (None, 5), (16, 0.001): (12, 11), (32, 0.01): (14, 13),
+    (32, 0.9): (6, 5), (64, 0.001): (23, 22), (64, 0.9): (8, 7), (100, 0.01): (24, 23),
+    (128, 0.75): (12, 11), (128, 0.9): (11, 10), (256, 0.9): (15, 13), (512, 0.75): (23, 22),
+    (512, 0.9): (21, 19), (768, 0.75): (28, 27), (768, 0.9): (25, 23),
+}
+
+
+def first_k(rejects, d: int) -> int | None:
+    """The first k in 1..d for which rejects(k), or None."""
+    return next((k for k in range(1, d + 1) if rejects(k)), None)
+
+
+@functools.cache
+def true_size_table() -> dict:
+    """(d, alpha) -> (k_tau, k_exact) on the whole grid."""
+    size = functools.cache(exact_equal_size_pvalue)
+    return {(d, alpha): (first_k(lambda k: k / d > ks_tau(alpha, d), d),
+                         first_k(lambda k: size(k, d) <= alpha, d))
+            for d in TAU_GRID_D for alpha in TAU_GRID_ALPHA}
+
+
+class TestTauTrueSize:
+    def test_tau_and_the_exact_null_differ_at_15_points(self):
+        table = true_size_table()
+        assert len(table) == 104
+        assert {at: ks for at, ks in table.items() if ks[0] != ks[1]} == TAU_OFF_EXACT
+
+    def test_tau_is_anti_conservative_only_at_d4_alpha_075(self):
+        over = {(d, alpha): exact_equal_size_pvalue(k_tau, d)
+                for (d, alpha), (k_tau, _) in true_size_table().items()
+                if k_tau is not None and exact_equal_size_pvalue(k_tau, d) > alpha}
+        assert over.keys() == {(4, 0.75)}
+        assert over[4, 0.75] == pytest.approx(0.7714, abs=5e-5)
+
+    def test_tau_never_rejects_at_d5_alpha_001(self):
+        # tau(0.01, 5) > 1 = the largest D, yet D = 5/5 has exact size 2/252
+        assert ks_tau(0.01, 5) > 1
+        assert exact_equal_size_pvalue(5, 5) == pytest.approx(2 / 252, rel=1e-15)
+        assert true_size_table()[5, 0.01] == (None, 5)
+
+    @pytest.mark.parametrize("d, alpha, k, size", [(64, 0.05, 16, 0.0362), (768, 0.25, 40, 0.2487)])
+    def test_tau_and_the_exact_null_agree(self, d, alpha, k, size):
+        assert true_size_table()[d, alpha] == (k, k)
+        assert exact_equal_size_pvalue(k, d) == pytest.approx(size, abs=5e-5)
 
 
 class TestTwoSampleTest:

@@ -281,6 +281,12 @@ class TestFrequencies:
 
     def test_empty(self):
         np.testing.assert_array_equal(count_frequencies([], 4), [0, 0, 0, 0])
+        assert count_frequencies([], 0).size == 0
+
+    @pytest.mark.parametrize("corpus", [[], [1]])
+    def test_negative_vocab_is_named(self, corpus):
+        with pytest.raises(ValueError, match="^vocab_size must be >= 0, got -1$"):
+            count_frequencies(corpus, -1)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="position 2"):

@@ -20,7 +20,6 @@ from kstickets._text import (
     write_text,
 )
 from kstickets.certify import LOG_HEADER, PredictionLog, read_prediction_log, write_prediction_log
-from kstickets.checkpoint import CheckpointError, import_csv_matrix
 from kstickets.cli import _read_corpus, _read_counts_csv, run
 from kstickets.selection import SCORES_HEADER, ScoreTable, read_scores_csv, write_scores_csv
 from kstickets.toytrain import read_task_csv
@@ -154,8 +153,10 @@ def with_cell(j, cell):
 BODIES = {
     **{f"cell-{j}-{cell!r}": f"{with_cell(j, cell)}\n{','.join(ROW)}\n"
        for j in range(4) for cell in CELLS},
+    # the first row decides which trailing optional columns numpy skips, so
+    # every cell is also read in the second
     **{f"row-2-cell-{j}-{cell!r}": f"{','.join(ROW)}\n{with_cell(j, cell)}\n"
-       for j in range(4) for cell in ("", "1.0", "x")},
+       for j in range(4) for cell in (*CELLS, "x")},
     "extra-cell": "1,0.5,2,0.5\n1,0.5,2,0.5,9\n",
     "missing-cell": "1,0.5,2,0.5\n1,0.5,2\n",
     "missing-and-extra-cell": "1,0.5,2,\n1,0.5,2,,\n1,0.5\n",
@@ -219,31 +220,6 @@ def test_c_parser_gives_pythons_answer_on_one_column(tmp_path, monkeypatch, body
     assert fast == outcome(read)
 
 
-@pytest.mark.parametrize("cell", CELLS, ids=map(repr, CELLS))
-def test_matrix_c_parser_gives_pythons_answer(tmp_path, monkeypatch, cell):
-    # the headerless reader: the cell in each column, in the first row (which
-    # sets the cell count) and in the second
-    path = tmp_path / "m.csv"
-
-    def read():
-        try:
-            tensor = import_csv_matrix(path, "m").tensor("m")
-        except CheckpointError as exc:
-            return str(exc)
-        return tensor.shape, tensor.data.tobytes()
-
-    bodies = [f"{with_cell(j, cell)}\n{','.join(ROW)}\n" for j in range(4)]
-    bodies += [f"{','.join(ROW)}\n{with_cell(j, cell)}\n" for j in range(4)]
-    fast = []
-    for body in bodies:
-        path.write_text(body, encoding="utf-8", newline="")
-        fast.append(read())
-    monkeypatch.setattr(_text, "_c_columns", lambda *args: None)
-    for body, want in zip(bodies, fast):
-        path.write_text(body, encoding="utf-8", newline="")
-        assert read() == want, body
-
-
 MALFORMED = [
     ("scores", read_scores_csv, f"{SCORES_HEADER}\n0,0,1,1,0,0,1,0,\n1,0,1,x,0,0,1,0,\n",
      "line 3: could not convert string to float: 'x'"),
@@ -255,22 +231,11 @@ MALFORMED = [
      "line 3: source id 9 outside [0, 8)"),
     ("task", lambda p: read_task_csv(p, 8), "source,target\n0,1\n2,-1\n",
      "line 3: target id -1 outside [0, 8)"),
-    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,x\n",
-     "line 2: could not convert string to float: 'x'"),
-    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,inf\n",
-     "line 2: cell inf is not a finite float32"),
-    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,nan\n",
-     "line 2: cell nan is not a finite float32"),
-    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3,1e39\n",
-     "line 2: cell 1e+39 is not a finite float32"),
-    ("matrix", lambda p: import_csv_matrix(p, "m"), "1,2\n3\n", "line 2: 1 cells, expected 2"),
 ]
 
 
 @pytest.mark.parametrize("what, read, text, reason", MALFORMED,
-                         ids=["scores", "log", "counts", "task-source", "task-target",
-                              "matrix-non-numeric", "matrix-non-finite", "matrix-nan",
-                              "matrix-beyond-float32", "matrix-ragged"])
+                         ids=["scores", "log", "counts", "task-source", "task-target"])
 def test_every_reader_names_path_and_line_of_a_bad_row(tmp_path, what, read, text, reason):
     path = tmp_path / f"{what}.csv"
     path.write_text(text)

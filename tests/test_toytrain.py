@@ -77,6 +77,10 @@ class TestGenerateTask:
         with pytest.raises(ValueError, match="vocab_size"):
             generate_task(0, 3, 10, 1.0)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            generate_task(-1, 16, 10, 1.0)
+
     @pytest.mark.parametrize("zipf", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_zipf_exponent_is_rejected(self, zipf):
         with pytest.raises(ValueError, match=f"zipf_exponent must be finite, got {zipf}"):
@@ -117,6 +121,10 @@ class TestInitModel:
 
     def test_dim_one_allowed(self):
         assert init_model(0, 4, 1).dim == 1
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            init_model(-1, 16, 8)
 
 
 class TestForward:
@@ -214,6 +222,10 @@ class TestTrain:
         # NaN passes a plain "<= 0" check and would train a NaN model
         with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {lr}"):
             TrainConfig(mode="embed", learning_rate=lr)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(mode="embed", seed=-1)
 
     def test_vocab_mismatch(self):
         task, _ = small_setup()
