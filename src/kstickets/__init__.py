@@ -17,7 +17,6 @@ from .certify import (
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
-    EmbeddingView,
     TensorRecord,
     get_embedding,
     read_checkpoint,

@@ -111,14 +111,14 @@ class CertificationReport:
     prediction_accuracy: float | None = None
 
 
-def _half_gap(log: PredictionLog, prob_source: str) -> np.ndarray:
+def _verified(log: PredictionLog, tau: float, prob_source: str) -> np.ndarray:
+    """Per record: prob_source's half-gap (p1 - p2)/2 exceeds tau."""
     if prob_source not in PROB_SOURCES:
         raise ValueError(f"unknown prob_source {prob_source!r}")
-    if prob_source == "tuned":
-        return (log.p1 - log.p2) / 2.0
-    if log.base_p1 is None:
+    p1, p2 = (log.p1, log.p2) if prob_source == "tuned" else (log.base_p1, log.base_p2)
+    if p1 is None:
         raise ValueError("record has no base-model probabilities")
-    return (log.base_p1 - log.base_p2) / 2.0
+    return (p1 - p2) / 2.0 > tau
 
 
 def certified(log: PredictionLog, tau: float, prob_source: str = "tuned") -> np.ndarray:
@@ -126,8 +126,7 @@ def certified(log: PredictionLog, tau: float, prob_source: str = "tuned") -> np.
 
     The inequality is strict: with tau = 0 an exact p1 == p2 tie fails.
     """
-    verified = _half_gap(log, prob_source) > tau
-    return (log.tuned_prediction == log.reference_token) & verified
+    return (log.tuned_prediction == log.reference_token) & _verified(log, tau, prob_source)
 
 
 def filter_first_k(log: PredictionLog, k: int = 20) -> PredictionLog:
@@ -152,14 +151,12 @@ def certification_report(
     n = len(log)
     if not n:
         raise ValueError("empty record set")
-    correct = log.tuned_prediction == log.reference_token
-    verified = _half_gap(log, prob_source) > tau
     partial = log.partial_prediction
     return CertificationReport(
         alpha=alpha, tau=tau, d=d, n_records=n,
-        certified_accuracy=np.count_nonzero(correct & verified) / n,
-        tuned_accuracy=np.count_nonzero(correct) / n,
-        verified_percentage=np.count_nonzero(verified) / n,
+        certified_accuracy=np.count_nonzero(certified(log, tau, prob_source)) / n,
+        tuned_accuracy=np.count_nonzero(log.tuned_prediction == log.reference_token) / n,
+        verified_percentage=np.count_nonzero(_verified(log, tau, prob_source)) / n,
         prediction_accuracy=None if partial is None
         else np.count_nonzero(partial == log.reference_token) / n,
     )

@@ -22,7 +22,6 @@ __all__ = [
     "CheckpointError",
     "TensorRecord",
     "Checkpoint",
-    "EmbeddingView",
     "write_checkpoint",
     "read_checkpoint",
     "get_embedding",
@@ -73,6 +72,11 @@ class TensorRecord:
     def nbytes(self) -> int:
         return self.data.size * 4
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """data in its shape: a view, so a write through it changes data."""
+        return self.data.reshape(self.shape)
+
 
 @dataclass
 class Checkpoint:
@@ -90,19 +94,6 @@ class Checkpoint:
             if t.name == name:
                 return t
         raise CheckpointError(f"tensor not found: {name!r}")
-
-
-@dataclass(frozen=True)
-class EmbeddingView:
-    """A rank-2 tensor read as vocab_size rows of dim values each."""
-
-    vocab_size: int
-    dim: int
-    tensor: TensorRecord
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.tensor.data.reshape(self.vocab_size, self.dim)
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -195,25 +186,25 @@ def read_checkpoint(path) -> Checkpoint:
     return Checkpoint(tensors)
 
 
-def get_embedding(ckpt: Checkpoint, tensor_name: str) -> EmbeddingView:
+def get_embedding(ckpt: Checkpoint, tensor_name: str) -> TensorRecord:
+    """ckpt's own record of tensor_name, checked rank-2: vocab rows of dim values."""
     t = ckpt.tensor(tensor_name)
     if len(t.shape) != 2:
         raise CheckpointError(
             f"tensor {tensor_name!r} is not a matrix (shape {t.shape})"
         )
-    return EmbeddingView(vocab_size=t.shape[0], dim=t.shape[1], tensor=t)
+    return t
 
 
 def validate_pair(
     base: Checkpoint, tuned: Checkpoint, tensor_name: str
-) -> tuple[EmbeddingView, EmbeddingView]:
-    """The views of tensor_name in base and tuned, checked rank-2 with identical shape."""
+) -> tuple[TensorRecord, TensorRecord]:
+    """The records of tensor_name in base and tuned, checked rank-2 with identical shape."""
     vb = get_embedding(base, tensor_name)
     vt = get_embedding(tuned, tensor_name)
-    if (vb.vocab_size, vb.dim) != (vt.vocab_size, vt.dim):
+    if vb.shape != vt.shape:
         raise CheckpointError(
-            f"tensor {tensor_name!r} shape mismatch: "
-            f"base {vb.vocab_size, vb.dim} vs tuned {vt.vocab_size, vt.dim}"
+            f"tensor {tensor_name!r} shape mismatch: base {vb.shape} vs tuned {vt.shape}"
         )
     return vb, vt
 

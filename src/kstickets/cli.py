@@ -29,6 +29,7 @@ from .checkpoint import (
     validate_pair,
     write_checkpoint,
 )
+from .ksstat import ks_tau
 from .selection import (
     SELECTION_METHODS,
     analyze_pair,
@@ -132,12 +133,20 @@ def _off_lattice(statistic: np.ndarray, d: int) -> np.ndarray:
     return np.flatnonzero(~on)
 
 
+def _check_tau_options(dim: int, alphas) -> None:
+    """--dim's and each --alpha's domain errors, before any input is read."""
+    if dim < 2:
+        raise ValueError(f"--dim must be >= 2, got {dim}")
+    for alpha in alphas:
+        ks_tau(alpha, dim)
+
+
 def _cmd_analyze(args) -> None:
     base = read_checkpoint(args.base)
     tuned = read_checkpoint(args.tuned)
     vb, vt = validate_pair(base, tuned, args.tensor)
     # a malformed counts file fails before any row is scored
-    freq = None if args.freq is None else _read_counts_csv(args.freq, vb.vocab_size)
+    freq = None if args.freq is None else _read_counts_csv(args.freq, vb.shape[0])
     write_scores_csv(replace(analyze_pair(vb, vt), frequency=freq), args.out)
 
 
@@ -146,6 +155,8 @@ def _cmd_select(args) -> None:
         raise _UsageError("--alpha requires --dim")
     if args.method is not None and args.top_k is None:
         raise _UsageError("--method requires --top-k")
+    if args.alpha is not None:
+        _check_tau_options(args.dim, [args.alpha])
     scores = read_scores_csv(args.scores)
     if args.alpha is not None:
         tickets = select_by_alpha(scores, args.alpha, args.dim)
@@ -181,6 +192,7 @@ def _cmd_certify(args) -> None:
         raise _UsageError(f"bad --alpha list: {args.alpha!r}") from exc
     if not alphas:
         raise _UsageError("at least one alpha required")
+    _check_tau_options(args.dim, alphas)
     log = read_prediction_log(args.log)
     if args.first_k is not None:
         log = filter_first_k(log, args.first_k)

@@ -24,7 +24,7 @@ from ._text import (
     write_csv,
     write_text,
 )
-from .checkpoint import EmbeddingView
+from .checkpoint import TensorRecord
 from .ksstat import (
     Sample,
     ks_pvalue_asymptotic,
@@ -431,7 +431,7 @@ def _score_rows(
     return scores, moved
 
 
-def analyze_pair(base: EmbeddingView, tuned: EmbeddingView) -> ScoreTable:
+def analyze_pair(base: TensorRecord, tuned: TensorRecord) -> ScoreTable:
     """Score every row of a shape-matched pair, ordered by token_id.
 
     Rows are scored in blocks of about _CHUNK_ELEMENTS values, each cast to
@@ -541,8 +541,8 @@ def count_frequencies(corpus: Iterable[int], vocab_size: int) -> np.ndarray:
 
 
 def compare_ticket_distributions(
-    tuned_a: EmbeddingView,
-    tuned_b: EmbeddingView,
+    tuned_a: TensorRecord,
+    tuned_b: TensorRecord,
     tickets: WinningTicketSet,
     alpha: float,
 ) -> float:
@@ -554,10 +554,10 @@ def compare_ticket_distributions(
     am, bm = tuned_a.matrix, tuned_b.matrix
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    if tickets.vocab_size != tuned_a.vocab_size:
+    if tickets.vocab_size != tuned_a.shape[0]:
         raise ValueError(
             f"ticket vocab_size {tickets.vocab_size} does not match "
-            f"matrix rows {tuned_a.vocab_size}"
+            f"matrix rows {tuned_a.shape[0]}"
         )
     tau = ks_tau(alpha, am.shape[1])
     if not tickets.token_ids:

@@ -308,12 +308,19 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
-class TestEmbeddingView:
+class TestGetEmbedding:
     def test_view(self):
         ckpt = make_ckpt(("embed", (8, 4)))
         view = get_embedding(ckpt, "embed")
-        assert (view.vocab_size, view.dim) == (8, 4)
+        assert view.shape == (8, 4)
         assert view.matrix.shape == (8, 4)
+
+    def test_returns_the_record_itself(self):
+        ckpt = make_ckpt(("embed", (8, 4)))
+        record = get_embedding(ckpt, "embed")
+        assert record is ckpt.tensor("embed")
+        record.matrix[2, 3] = 7.5  # matrix is a view of data
+        assert record.data[2 * 4 + 3] == 7.5
 
     def test_missing_tensor(self):
         with pytest.raises(CheckpointError, match="tensor not found"):
@@ -329,7 +336,7 @@ class TestValidatePair:
         a = make_ckpt(("embed", (8, 4)))
         b = make_ckpt(("other", (2, 2)), ("embed", (8, 4)))  # other values than a's
         vb, vt = validate_pair(a, b, "embed")
-        assert (vb.vocab_size, vb.dim) == (vt.vocab_size, vt.dim) == (8, 4)
+        assert vb.shape == vt.shape == (8, 4)
         assert vb.matrix.tobytes() == a.tensor("embed").data.tobytes()
         assert vt.matrix.tobytes() == b.tensor("embed").data.tobytes()
 

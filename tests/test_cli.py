@@ -749,6 +749,24 @@ def test_usage_errors_come_before_any_input_is_read(tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["select", "--scores", "{dir}/absent.csv", "--alpha", "0.05", "--dim", "1"],
+     "--dim must be >= 2, got 1"),
+    (["select", "--scores", "{dir}/absent.csv", "--alpha", "1.5", "--dim", "8"],
+     "alpha must be in (0, 1], got 1.5"),
+    (["certify", "--log", "{dir}/absent.csv", "--dim", "1", "--alpha", "0.05"],
+     "--dim must be >= 2, got 1"),
+    (["certify", "--log", "{dir}/absent.csv", "--dim", "8", "--alpha", "0.05,1.5"],
+     "alpha must be in (0, 1], got 1.5"),
+], ids=["select-dim", "select-alpha", "certify-dim", "certify-alpha"])
+def test_dim_and_alpha_errors_come_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # as above, every input is absent; a domain error still exits 2, as a data error does
+    out = tmp_path / "out.txt"
+    assert run([a.format(dir=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_python_m_runs_the_cli(tmp_path):
     src = str(Path(kstickets.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

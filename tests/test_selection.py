@@ -556,7 +556,7 @@ def chunk_rows(d):
     return max(1, _CHUNK_ELEMENTS // d)
 
 
-@pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
+@pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768, 1024, 2048, 3072, 4096])
 @pytest.mark.parametrize("v_of", [
     lambda r: 1, lambda r: r - 1, lambda r: r, lambda r: r + 1, lambda r: 3 * r + 2,
 ], ids=["one-row", "chunk-minus-1", "one-chunk", "chunk-plus-1", "several-chunks"])
@@ -636,7 +636,7 @@ def kernel_row_pairs(d, seed=0):
     return [(np.asarray(x, dtype=f32), np.asarray(y, dtype=f32)) for x, y in pairs]
 
 
-@pytest.mark.parametrize("d", [2, 3, 7, 64, 65, 100, 768])
+@pytest.mark.parametrize("d", [2, 3, 7, 64, 65, 100, 768, 1024, 2048, 3072, 4096])
 def test_ks_kl_kernel_matches_the_float64_oracles_bit_for_bit(d):
     # blocks of one workspace, the last one partial; row i is pool pair pairs[i]
     pool = kernel_row_pairs(d)
@@ -653,6 +653,50 @@ def test_ks_kl_kernel_matches_the_float64_oracles_bit_for_bit(d):
     for name, got in (("ks_statistic", ks), ("kl", kl)):
         want = np.array([getattr(s, name) for s in oracle])[pairs]
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+
+def tie_prone_ks(d, count=2):
+    """The first count k whose k/d prints differently from a float64 step to
+    either side at fmt_float's 9 digits: a last-ulp slip in D there would
+    change the scores CSV."""
+    prints = (lambda x: {fmt_float(np.nextafter(x, 0.0)), fmt_float(x), fmt_float(np.nextafter(x, 2.0))})
+    return [k for k in range(1, d + 1) if len(prints(k / d)) > 1][:count]
+
+
+def moved_row_pairs(d, ks):
+    """(base, tuned) float32 rows of width d in which k values moved, for each k:
+    the k least moved past the greatest, the k greatest below the least, and k
+    at random places. In the first two, D = k/d is reached at the run ends of
+    every c, where c/d rounds each way."""
+    rng = np.random.default_rng(d)
+    pairs = []
+    for k in ks:
+        b = rng.normal(0.0, 0.05, d).astype(np.float32)
+        up, down, anywhere = b.copy(), b.copy(), b.copy()
+        order = np.argsort(b)
+        up[order[:k]] += np.float32(1.0)
+        down[order[-k:]] -= np.float32(1.0)
+        anywhere[rng.choice(d, k, replace=False)] += np.float32(0.01)
+        pairs += [(b, up), (b, down), (b, anywhere)]
+    return pairs
+
+
+@pytest.mark.parametrize("d", [1024, 2048, 3072, 4096])
+def test_kernel_and_analyze_pair_match_the_oracles_at_the_papers_widths(d):
+    # the k of the paper's widths that land on fmt_float's ties, and k = 1
+    pool = moved_row_pairs(d, [1, *tie_prone_ks(d)])
+    base, tuned = (np.stack(side) for side in zip(*pool))
+    ws = selection._Workspace(len(base), d)
+    ks, kl = np.empty(len(base)), np.empty(len(base))
+    for block in selection._blocks(len(base), d):
+        ks[block], kl[block] = selection._ks_kl_rows(base[block], tuned[block], ws)
+    b64, t64 = base.astype(np.float64), tuned.astype(np.float64)
+    assert ks.view(np.int64).tolist() == ks_statistic_rows(b64, t64).view(np.int64).tolist()
+    assert kl.view(np.int64).tolist() == _histogram_kl_rows(t64, b64).view(np.int64).tolist()
+    assert_matches_score_row(base, tuned)  # one block or several, each row scored by score_row
+    # 1/3072 is not c/3072 - (c - 1)/3072 for every c: D is their greatest float
+    if d == 3072:
+        assert ks[0] == 0.00032552083333337034 != 1 / 3072
 
 
 @given(st.integers(2, 9).flatmap(lambda d: st.lists(
