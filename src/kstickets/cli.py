@@ -73,10 +73,6 @@ class _Parser(argparse.ArgumentParser):
 def _write_counts_csv(counts: np.ndarray, path, top_k: int | None) -> None:
     ids = np.arange(counts.size)
     if top_k is not None:
-        if top_k < 0:
-            raise ValueError(f"top-k {top_k} must be >= 0")
-        if top_k > counts.size:
-            raise ValueError(f"top-k {top_k} exceeds vocab size {counts.size}")
         ids = np.lexsort((ids, -counts))[:top_k]
     write_csv(path, COUNTS_HEADER, [ids, counts[ids]])
 
@@ -122,11 +118,12 @@ def _read_corpus(path) -> np.ndarray:
 def _off_lattice(statistic: np.ndarray, d: int) -> np.ndarray:
     """The rows whose KS statistic is not k/d for an integer 0 <= k <= d.
 
-    analyze writes D = k/d to 9 significant digits, within 5e-9 * D of k/d,
-    so D * d lies within 5e-9 * d of k: the tolerance 1e-8 * d keeps every
-    such row. For a true dimension and a d both up to 4096, a statistic off
-    the 1/d lattice is at least 1/4096 - 5e-9 * d from it, so a d that is
-    not a multiple of the true one is caught on any row with such a k.
+    analyze computes D as k/d, one correctly rounded division, and writes it
+    to 9 significant digits, within 5e-9 * D of k/d, so D * d lies within
+    5e-9 * d of k: the tolerance 1e-8 * d keeps every such row. For a true
+    dimension and a d both up to 4096, a statistic off the 1/d lattice is at
+    least 1/4096 - 5e-9 * d from it, so a d that is not a multiple of the
+    true one is caught on any row with such a k.
     """
     x = statistic * d
     on = (np.abs(x - np.rint(x)) <= 1e-8 * d) & (statistic >= 0) & (statistic <= 1)
@@ -157,6 +154,8 @@ def _cmd_select(args) -> None:
         raise _UsageError("--method requires --top-k")
     if args.alpha is not None:
         _check_tau_options(args.dim, [args.alpha])
+    elif args.top_k < 0:
+        raise ValueError(f"k={args.top_k} must be >= 0")
     scores = read_scores_csv(args.scores)
     if args.alpha is not None:
         tickets = select_by_alpha(scores, args.alpha, args.dim)
@@ -193,6 +192,8 @@ def _cmd_certify(args) -> None:
     if not alphas:
         raise _UsageError("at least one alpha required")
     _check_tau_options(args.dim, alphas)
+    if args.first_k is not None and args.first_k < 1:
+        raise ValueError("k must be >= 1")
     log = read_prediction_log(args.log)
     if args.first_k is not None:
         log = filter_first_k(log, args.first_k)
@@ -204,6 +205,13 @@ def _cmd_certify(args) -> None:
 
 
 def _cmd_freq(args) -> None:
+    if args.vocab < 0:
+        raise ValueError(f"vocab_size must be >= 0, got {args.vocab}")
+    if args.top_k is not None:
+        if args.top_k < 0:
+            raise ValueError(f"top-k {args.top_k} must be >= 0")
+        if args.top_k > args.vocab:
+            raise ValueError(f"top-k {args.top_k} exceeds vocab size {args.vocab}")
     corpus = _read_corpus(args.corpus)
     counts = count_frequencies(corpus, args.vocab)
     _write_counts_csv(counts, args.out, args.top_k)
@@ -221,18 +229,13 @@ def _cmd_toy_init(args) -> None:
 def _cmd_toy_train(args) -> None:
     if args.tickets is None and args.mode in ("partial", "frozen_complement"):
         raise _UsageError(f"--mode {args.mode} requires --tickets")
+    # the options' domain errors, under a mode that needs no tickets, before any read
+    config = TrainConfig(mode="full", learning_rate=args.lr, epochs=args.epochs,
+                         seed=args.seed, batch_size=args.batch_size)
     model = model_from_checkpoint(read_checkpoint(args.model))
     task = read_task_csv(args.task, model.vocab_size)
     tickets = None if args.tickets is None else read_ticket_file(args.tickets)
-    config = TrainConfig(
-        mode=args.mode,
-        tickets=tickets,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        batch_size=args.batch_size,
-    )
-    tuned, losses = train(model, task, config)
+    tuned, losses = train(model, task, replace(config, mode=args.mode, tickets=tickets))
     write_checkpoint(model_to_checkpoint(tuned), args.out)
     if args.loss_out is not None:
         write_csv(args.loss_out, "epoch,loss", [np.arange(len(losses)), np.array(losses)])

@@ -290,7 +290,8 @@ def _bin_counts(below: np.ndarray, total: int, out: np.ndarray) -> None:
 
 def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """ks_statistic and _histogram_kl(t, b) of each row pair of two float32
-    (rows, d) arrays, bit for bit, from one integer sort of each pooled row."""
+    (rows, d) arrays, bit for bit, from one integer sort of each pooled row:
+    D is the row's greatest integer numerator k, divided once by d."""
     rows, d = b.shape
     keys, ties, tuned_below = ws.keys[:rows], ws.ties[:rows], ws.tuned_below[:rows]
     # Each value as an int that orders as the floats do, shifted left once
@@ -315,22 +316,14 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     np.cumsum(ints, axis=1, dtype=np.int32, out=tuned_below[:, 1:])
 
     # KS: at slot s, c_b tuned and c_a = s + 1 - c_b base values lie at or
-    # below it, and |c_a - c_b| = |2 c_b - (s + 1)|. ks_statistic's D is the
-    # float |c_a/d - c_b/d| at the end of a tie run. A larger numerator always
-    # gives a larger float, so D is the largest float among the run ends
-    # whose numerator is the row's maximum; those floats can differ in the
-    # last ulp. Slots inside a run get -1, which never is the maximum: the
-    # last slot ends a run.
+    # below it, and k = |c_a - c_b| = |2 c_b - (s + 1)|. ks_statistic's D is
+    # k/d for the row's greatest k at the end of a tie run. Slots inside a
+    # run get -1, which never is the maximum: the last slot ends a run.
     np.multiply(tuned_below[:, 1:], 2, out=ints)
     ints -= ws.slots
     np.abs(ints, out=ints)
     np.copyto(ints, -1, where=ties)
-    np.equal(ints, ints.max(axis=1, keepdims=True), out=ties)
-    at = np.flatnonzero(ties)
-    row, slot = np.divmod(at, 2 * d)
-    cb = tuned_below.ravel()[at + row + 1]
-    gap = np.abs((slot + 1 - cb) / d - cb / d)
-    ks = np.maximum.reduceat(gap, np.flatnonzero(np.diff(row, prepend=-1)))
+    ks = ints.max(axis=1) / d
 
     # KL: np.histogram's count below an interior edge e is the number of
     # values x < e, and for a float32 x that is x < the least float32 >= e.

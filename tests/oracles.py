@@ -34,14 +34,27 @@ def forward(model: ToyModel, source_token: int) -> np.ndarray:
     return _distinct_probs(model.embedding, model.output_weights, [source_token])[2][0]
 
 
+def brute_force_ks(a: np.ndarray, b: np.ndarray) -> float:
+    """ks_statistic by a plain sweep: at every merged value, count the values
+    of each sample at or below it; D is the greatest |c_a*m - c_b*n| / (n*m)."""
+    n, m = a.size, b.size
+    best = 0
+    for x in np.concatenate([a, b]):
+        count_a = int(np.count_nonzero(a <= x))
+        count_b = int(np.count_nonzero(b <= x))
+        best = max(best, abs(count_a * m - count_b * n))
+    return best / (n * m)
+
+
 def ks_statistic_rows(a, b) -> np.ndarray:
     """ks_statistic of each row pair (a[i], b[i]), bit for bit, in whole-array
-    float64 numpy calls: the reference for the KS half of selection._ks_kl_rows.
+    numpy calls: the reference for the KS half of selection._ks_kl_rows.
 
     Each row's sorted halves are merged by a stable argsort. At the last slot
     of each run of tied values the integer cumsums of the merged membership
-    equal ks_statistic's searchsorted counts, and |c_a/n - c_b/m| there is the
-    same float expression; other slots are left out of the max.
+    equal ks_statistic's searchsorted counts c_a and c_b; the greatest
+    |c_a*m - c_b*n| there is divided once by n*m. Other slots are left out
+    of the max.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -55,10 +68,10 @@ def ks_statistic_rows(a, b) -> np.ndarray:
     pooled = np.concatenate([np.sort(a, axis=1), np.sort(b, axis=1)], axis=1)
     order = np.argsort(pooled, axis=1, kind="stable")
     ca = np.cumsum(order < n, axis=1)
-    diff = np.abs(ca / n - (np.arange(1, n + m + 1) - ca) / m)
+    numerator = np.abs(ca * m - (np.arange(1, n + m + 1) - ca) * n)
     merged = np.take_along_axis(pooled, order, axis=1)
-    diff[:, :-1][merged[:, :-1] == merged[:, 1:]] = 0.0
-    return diff.max(axis=1)
+    numerator[:, :-1][merged[:, :-1] == merged[:, 1:]] = 0
+    return numerator.max(axis=1) / (n * m)
 
 
 def _histogram_kl_rows(t: np.ndarray, b: np.ndarray) -> np.ndarray:

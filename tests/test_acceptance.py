@@ -44,7 +44,7 @@ from kstickets.toytrain import (
     write_task_csv,
 )
 from kstickets.transfer import splice_partial_transfer
-from oracles import diff_rows, ks_pvalue_permutation, tau_from_pvalue_inversion
+from oracles import brute_force_ks, diff_rows, ks_pvalue_permutation, tau_from_pvalue_inversion
 
 
 def ok(n, text):
@@ -55,15 +55,6 @@ def view_of(matrix):
     matrix = np.asarray(matrix, dtype=np.float32)
     ckpt = Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())])
     return get_embedding(ckpt, "embed")
-
-
-def brute_force_ks(a: np.ndarray, b: np.ndarray) -> float:
-    best = 0.0
-    for x in np.concatenate([a, b]):
-        fa = np.count_nonzero(a <= x) / a.size
-        fb = np.count_nonzero(b <= x) / b.size
-        best = max(best, abs(fa - fb))
-    return best
 
 
 def test_criterion_01_ks_oracle_equivalence():

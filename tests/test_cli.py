@@ -303,6 +303,23 @@ def test_lattice_check_catches_a_dim_that_is_not_a_multiple():
             assert (_off_lattice(written, d).size == 0) == (d % true_d == 0), (true_d, d)
 
 
+def test_analyze_writes_one_text_per_ks_distance_at_d3072(tmp_path):
+    # 309 moved values give k = 309 in both rows, reached at different slots;
+    # c/3072 - (c - 309)/3072 rounds to different floats for different c
+    base = np.tile(np.arange(3072, dtype=np.float32), (2, 1))
+    tuned = base.copy()
+    for row, x in enumerate((0, 77)):
+        tuned[row, x:x + 309] = x + 308.5
+    for name, matrix in (("base", base), ("tuned", tuned)):
+        write_checkpoint(Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())]),
+                         tmp_path / f"{name}.ckpt")
+    out = tmp_path / "scores.csv"
+    assert run(["analyze", "--base", str(tmp_path / "base.ckpt"), "--tuned",
+                str(tmp_path / "tuned.ckpt"), "--tensor", "embed", "--out", str(out)]) == 0
+    ks_cells = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert ks_cells == [fmt_float(309 / 3072)] * 2
+
+
 @pytest.mark.parametrize("argv", [
     ["select", "--scores", "{dir}/scores.csv", "--method", "ks", "--top-k", "-1"],
     ["freq", "--corpus", "{dir}/corpus.txt", "--vocab", "64", "--top-k", "-2"],
@@ -761,6 +778,34 @@ def test_usage_errors_come_before_any_input_is_read(tmp_path, capsys, argv, mess
 ], ids=["select-dim", "select-alpha", "certify-dim", "certify-alpha"])
 def test_dim_and_alpha_errors_come_before_any_input_is_read(tmp_path, capsys, argv, message):
     # as above, every input is absent; a domain error still exits 2, as a data error does
+    out = tmp_path / "out.txt"
+    assert run([a.format(dir=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+TRAIN_ABSENT = ["toy", "train", "--model", "{dir}/absent.ckpt", "--task", "{dir}/absent.csv",
+                "--mode", "embed"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["freq", "--corpus", "{dir}/absent.txt", "--vocab", "8", "--top-k", "-1"],
+     "top-k -1 must be >= 0"),
+    (["freq", "--corpus", "{dir}/absent.txt", "--vocab", "8", "--top-k", "9"],
+     "top-k 9 exceeds vocab size 8"),
+    (["freq", "--corpus", "{dir}/absent.txt", "--vocab", "-1"], "vocab_size must be >= 0, got -1"),
+    (["select", "--scores", "{dir}/absent.csv", "--method", "ks", "--top-k", "-1"],
+     "k=-1 must be >= 0"),
+    (["certify", "--log", "{dir}/absent.csv", "--dim", "8", "--alpha", "0.05", "--first-k", "0"],
+     "k must be >= 1"),
+    ([*TRAIN_ABSENT, "--lr", "0"], "learning_rate must be finite and > 0, got 0.0"),
+    ([*TRAIN_ABSENT, "--epochs", "-1"], "epochs must be >= 0"),
+    ([*TRAIN_ABSENT, "--batch-size", "0"], "batch_size must be >= 1"),
+    ([*TRAIN_ABSENT, "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["freq-top-k-negative", "freq-top-k-above-vocab", "freq-vocab", "select-top-k",
+        "certify-first-k", "train-lr", "train-epochs", "train-batch-size", "train-seed"])
+def test_option_values_are_checked_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # every input is absent: reading one would name the file instead
     out = tmp_path / "out.txt"
     assert run([a.format(dir=tmp_path) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -17,6 +17,7 @@ from kstickets.ksstat import (
     ks_two_sample_test,
 )
 from oracles import (
+    brute_force_ks,
     exact_equal_size_pvalue,
     ks_pvalue_permutation,
     ks_statistic_rows,
@@ -24,20 +25,22 @@ from oracles import (
 )
 
 
-def brute_force_ks(a: np.ndarray, b: np.ndarray) -> float:
-    """Independent oracle: sweep every merged value, count <= directly."""
-    best = 0.0
-    for x in np.concatenate([a, b]):
-        fa = np.count_nonzero(a <= x) / a.size
-        fb = np.count_nonzero(b <= x) / b.size
-        best = max(best, abs(fa - fb))
-    return best
+def float_sweep_ks(a: np.ndarray, b: np.ndarray) -> float:
+    """D as the float sweep max |count_a/n - count_b/m| over the merged
+    values: two rounded quotients, then their rounded difference."""
+    return max(
+        abs(np.count_nonzero(a <= x) / a.size - np.count_nonzero(b <= x) / b.size)
+        for x in np.concatenate([a, b])
+    )
 
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 small_samples = st.lists(finite_floats, min_size=1, max_size=64)
+power_of_two_samples = st.sampled_from([1, 2, 4, 8, 16, 32, 64]).flatmap(
+    lambda n: st.lists(finite_floats, min_size=n, max_size=n)
+)
 
 
 class TestSample:
@@ -73,6 +76,19 @@ class TestKsStatistic:
     def test_matches_brute_force_exactly(self, xs, ys):
         a, b = Sample(xs), Sample(ys)
         assert ks_statistic(a, b) == brute_force_ks(a.values, b.values)
+
+    @given(small_samples, small_samples)
+    def test_within_one_float_step_of_the_float_sweep(self, xs, ys):
+        # the float sweep rounds two quotients and their difference, k/(n*m)
+        # is rounded once: together at most 2**-52 apart for D <= 1
+        a, b = Sample(xs), Sample(ys)
+        assert abs(ks_statistic(a, b) - float_sweep_ks(a.values, b.values)) <= 2.0**-52
+
+    @given(power_of_two_samples, power_of_two_samples)
+    def test_equals_the_float_sweep_at_powers_of_two(self, xs, ys):
+        # c/2**p is exact, and so is the difference of two such quotients
+        a, b = Sample(xs), Sample(ys)
+        assert ks_statistic(a, b) == float_sweep_ks(a.values, b.values)
 
     @given(small_samples, small_samples)
     def test_symmetry(self, xs, ys):

@@ -694,9 +694,9 @@ def test_kernel_and_analyze_pair_match_the_oracles_at_the_papers_widths(d):
     assert ks.view(np.int64).tolist() == ks_statistic_rows(b64, t64).view(np.int64).tolist()
     assert kl.view(np.int64).tolist() == _histogram_kl_rows(t64, b64).view(np.int64).tolist()
     assert_matches_score_row(base, tuned)  # one block or several, each row scored by score_row
-    # 1/3072 is not c/3072 - (c - 1)/3072 for every c: D is their greatest float
+    # D is k/d itself, though c/3072 - (c - 1)/3072 is not 1/3072 for every c
     if d == 3072:
-        assert ks[0] == 0.00032552083333337034 != 1 / 3072
+        assert ks[0] == 1 / 3072
 
 
 @given(st.integers(2, 9).flatmap(lambda d: st.lists(
