@@ -6,10 +6,8 @@ tuning, at toy scale.
 
 import argparse
 
-import numpy as np
-
 from kstickets.certify import alpha_sweep
-from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding
+from kstickets.checkpoint import TensorRecord
 from kstickets.selection import analyze_pair, compare_ticket_distributions, select_by_alpha
 from kstickets.toytrain import (
     TrainConfig,
@@ -21,9 +19,7 @@ from kstickets.toytrain import (
 
 
 def view_of(matrix):
-    matrix = np.asarray(matrix, dtype=np.float32)
-    ckpt = Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())])
-    return get_embedding(ckpt, "embed")
+    return TensorRecord("embed", matrix.shape, matrix)
 
 
 def main():

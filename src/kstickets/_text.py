@@ -174,21 +174,16 @@ def _c_columns(text: str, rows: list[str], parsers, ncells: int) -> list | None:
 
 
 def _python_columns(path, rows: list[str], parsers, what: str, ncells: int) -> list[list]:
-    """Python's parse of rows, one list per column: the reference answer, and
-    the only source of the error text of a bad row."""
-    try:
-        if any(row.count(",") != ncells - 1 for row in rows):
-            raise ValueError
-        cells = ",".join(rows).split(",") if rows else []
-        return [list(map(parse, cells[j::ncells])) for j, parse in enumerate(parsers)]
-    except ValueError:
-        for lineno, row in enumerate(rows, start=2):  # find the first bad row
-            cells = row.split(",")
-            try:
-                if len(cells) != ncells:
-                    raise ValueError(f"{len(cells)} cells, expected {ncells}")
-                for parse, cell in zip(parsers, cells):
-                    parse(cell)
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad {what} row at line {lineno}: {exc}") from exc
-        raise
+    """Python's parse of rows, one list per column, row by row: the reference
+    answer, and the only source of the error text of a bad row."""
+    columns = [[] for _ in parsers]
+    for lineno, row in enumerate(rows, start=2):
+        cells = row.split(",")
+        try:
+            if len(cells) != ncells:
+                raise ValueError(f"{len(cells)} cells, expected {ncells}")
+            for column, parse, cell in zip(columns, parsers, cells):
+                column.append(parse(cell))
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad {what} row at line {lineno}: {exc}") from exc
+    return columns

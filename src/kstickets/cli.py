@@ -130,12 +130,11 @@ def _off_lattice(statistic: np.ndarray, d: int) -> np.ndarray:
     return np.flatnonzero(~on)
 
 
-def _check_tau_options(dim: int, alphas) -> None:
-    """--dim's and each --alpha's domain errors, before any input is read."""
-    if dim < 2:
-        raise ValueError(f"--dim must be >= 2, got {dim}")
-    for alpha in alphas:
-        ks_tau(alpha, dim)
+def _at_least(args, **bounds) -> None:
+    """Each given option's lower bound, checked before any input is read."""
+    for name, low in bounds.items():
+        if (value := getattr(args, name)) is not None and value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _cmd_analyze(args) -> None:
@@ -152,10 +151,9 @@ def _cmd_select(args) -> None:
         raise _UsageError("--alpha requires --dim")
     if args.method is not None and args.top_k is None:
         raise _UsageError("--method requires --top-k")
+    _at_least(args, dim=2, top_k=0)
     if args.alpha is not None:
-        _check_tau_options(args.dim, [args.alpha])
-    elif args.top_k < 0:
-        raise ValueError(f"k={args.top_k} must be >= 0")
+        ks_tau(args.alpha, args.dim)
     scores = read_scores_csv(args.scores)
     if args.alpha is not None:
         tickets = select_by_alpha(scores, args.alpha, args.dim)
@@ -191,9 +189,9 @@ def _cmd_certify(args) -> None:
         raise _UsageError(f"bad --alpha list: {args.alpha!r}") from exc
     if not alphas:
         raise _UsageError("at least one alpha required")
-    _check_tau_options(args.dim, alphas)
-    if args.first_k is not None and args.first_k < 1:
-        raise ValueError("k must be >= 1")
+    _at_least(args, dim=2, first_k=1)
+    for alpha in alphas:
+        ks_tau(alpha, args.dim)
     log = read_prediction_log(args.log)
     if args.first_k is not None:
         log = filter_first_k(log, args.first_k)
@@ -205,13 +203,9 @@ def _cmd_certify(args) -> None:
 
 
 def _cmd_freq(args) -> None:
-    if args.vocab < 0:
-        raise ValueError(f"vocab_size must be >= 0, got {args.vocab}")
-    if args.top_k is not None:
-        if args.top_k < 0:
-            raise ValueError(f"top-k {args.top_k} must be >= 0")
-        if args.top_k > args.vocab:
-            raise ValueError(f"top-k {args.top_k} exceeds vocab size {args.vocab}")
+    _at_least(args, vocab=0, top_k=0)
+    if args.top_k is not None and args.top_k > args.vocab:
+        raise ValueError(f"--top-k {args.top_k} exceeds --vocab {args.vocab}")
     corpus = _read_corpus(args.corpus)
     counts = count_frequencies(corpus, args.vocab)
     _write_counts_csv(counts, args.out, args.top_k)
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--alpha", type=float)
     p.add_argument("--dim", type=int)
     mode.add_argument("--method", choices=SELECTION_METHODS)
-    p.add_argument("--top-k", type=int, dest="top_k")
+    p.add_argument("--top-k", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_select)
 
@@ -299,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--alpha", required=True, help="comma-separated significance levels")
-    p.add_argument("--prob-source", choices=PROB_SOURCES, default="tuned", dest="prob_source")
-    p.add_argument("--first-k", type=int, dest="first_k", help="keep only the first K positions per example")
+    p.add_argument("--prob-source", choices=PROB_SOURCES, default="tuned")
+    p.add_argument("--first-k", type=int, help="keep only the first K positions per example")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("freq", help="count token occurrences in an id stream")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--top-k", type=int, dest="top_k", help="write only the K most frequent tokens")
+    p.add_argument("--top-k", type=int, help="write only the K most frequent tokens")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_freq)
 
@@ -336,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tickets")
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
+    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--loss-out", dest="loss_out")
+    p.add_argument("--loss-out")
     p.set_defaults(handler=_cmd_toy_train)
 
     p = toysub.add_parser("eval", help="pair accuracy of a model on a task")

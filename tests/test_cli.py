@@ -486,8 +486,8 @@ def test_toy_gen_overflowing_zipf_exits_two_before_writing(tmp_path, capsys, zip
     (["toy", "init", "--seed", "-1", "--vocab", "16", "--dim", "4"], "seed must be >= 0, got -1"),
     (["toy", "train", "--model", "{dir}/model.ckpt", "--task", "{dir}/task.csv",
       "--mode", "embed", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["freq", "--corpus", "{dir}/empty.txt", "--vocab", "-1"], "vocab_size must be >= 0, got -1"),
-    (["freq", "--corpus", "{dir}/corpus.txt", "--vocab", "-1"], "vocab_size must be >= 0, got -1"),
+    (["freq", "--corpus", "{dir}/empty.txt", "--vocab", "-1"], "--vocab must be >= 0, got -1"),
+    (["freq", "--corpus", "{dir}/corpus.txt", "--vocab", "-1"], "--vocab must be >= 0, got -1"),
 ], ids=["gen-seed", "init-seed", "train-seed", "freq-vocab-empty-corpus", "freq-vocab"])
 def test_negative_seed_and_vocab_exit_two_before_writing(tmp_path, capsys, argv, message):
     write_checkpoint(model_to_checkpoint(init_model(1, 16, 4)), tmp_path / "model.ckpt")
@@ -728,7 +728,7 @@ def test_mixed_blank_frequency_column_is_absent(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, code, message",
     [(["freq", "--corpus", "{dir}/corpus.txt", "--vocab", "64", "--top-k", "65"], 2,
-      "error: top-k 65 exceeds vocab size 64\n"),
+      "error: --top-k 65 exceeds --vocab 64\n"),
      (["select", "--scores", "{dir}/scores.csv", "--method", "ks"], 1,
       "usage error: --method requires --top-k\n"),
      (["certify", "--log", "{dir}/log.csv", "--dim", "4", "--alpha", ","], 1,
@@ -790,20 +790,25 @@ TRAIN_ABSENT = ["toy", "train", "--model", "{dir}/absent.ckpt", "--task", "{dir}
 
 @pytest.mark.parametrize("argv, message", [
     (["freq", "--corpus", "{dir}/absent.txt", "--vocab", "8", "--top-k", "-1"],
-     "top-k -1 must be >= 0"),
+     "--top-k must be >= 0, got -1"),
     (["freq", "--corpus", "{dir}/absent.txt", "--vocab", "8", "--top-k", "9"],
-     "top-k 9 exceeds vocab size 8"),
-    (["freq", "--corpus", "{dir}/absent.txt", "--vocab", "-1"], "vocab_size must be >= 0, got -1"),
+     "--top-k 9 exceeds --vocab 8"),
+    (["freq", "--corpus", "{dir}/absent.txt", "--vocab", "-1"], "--vocab must be >= 0, got -1"),
     (["select", "--scores", "{dir}/absent.csv", "--method", "ks", "--top-k", "-1"],
-     "k=-1 must be >= 0"),
+     "--top-k must be >= 0, got -1"),
+    (["select", "--scores", "{dir}/absent.csv", "--alpha", "0.05", "--dim", "8", "--top-k", "-1"],
+     "--top-k must be >= 0, got -1"),
+    (["select", "--scores", "{dir}/absent.csv", "--method", "ks", "--top-k", "3", "--dim", "1"],
+     "--dim must be >= 2, got 1"),
     (["certify", "--log", "{dir}/absent.csv", "--dim", "8", "--alpha", "0.05", "--first-k", "0"],
-     "k must be >= 1"),
+     "--first-k must be >= 1, got 0"),
     ([*TRAIN_ABSENT, "--lr", "0"], "learning_rate must be finite and > 0, got 0.0"),
     ([*TRAIN_ABSENT, "--epochs", "-1"], "epochs must be >= 0"),
     ([*TRAIN_ABSENT, "--batch-size", "0"], "batch_size must be >= 1"),
     ([*TRAIN_ABSENT, "--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["freq-top-k-negative", "freq-top-k-above-vocab", "freq-vocab", "select-top-k",
-        "certify-first-k", "train-lr", "train-epochs", "train-batch-size", "train-seed"])
+        "select-alpha-top-k", "select-method-dim", "certify-first-k", "train-lr", "train-epochs",
+        "train-batch-size", "train-seed"])
 def test_option_values_are_checked_before_any_input_is_read(tmp_path, capsys, argv, message):
     # every input is absent: reading one would name the file instead
     out = tmp_path / "out.txt"

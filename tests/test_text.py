@@ -131,7 +131,8 @@ def test_read_csv_returns_columns_and_names_the_first_bad_row(tmp_path):
     path.write_text("a,b\n")
     assert read_csv(path, "a,b", (INT, INT), "pairs") == [[], []]
     for text, line in (("a,b\n1,2\n3\n5,x\n", 3), ("a,b\n1,2\n5,x\n3\n", 3),
-                       ("a,b\nx,2\n1,2,3\n", 2), ("a,b\n1,2\n\n", 3)):
+                       ("a,b\nx,2\n1,2,3\n", 2), ("a,b\n1,2\n\n", 3),
+                       ("a,b\n1,x\ny,2\n", 2)):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"{path}: bad pairs row at line {line}: "):
             read_csv(path, "a,b", (INT, INT), "pairs")
