@@ -54,13 +54,14 @@ SELECTION_METHODS = ("ks", "cos", "abs", "relative", "ratio", "kl", "frequency")
 _DIV_FLOOR = 1e-8
 _KL_BINS = 64
 _KL_MASS_FLOOR = 1e-9
-_CHUNK_ELEMENTS = 1 << 15  # values per scoring block; see _blocks
+# Values per scoring block; see _blocks. Each numpy call of a block hands the
+# GIL over once, so a larger block gives a second CPU more work per handoff.
+_CHUNK_ELEMENTS = 1 << 16
 _KL_ROWS = 256  # rows whose KL bins _ks_kl_rows counts at once: 128 KiB per bin array
-# Shares scored at once by analyze_pair, each in its own _Workspace (2.1 MB at
-# d = 64). The traced peak of a 32,000 x 64 matrix must stay below one float64
-# copy of it (16.4 MB). On 2 CPUs, fully moved, 3 shares trace 10.2 to 10.9 MB
-# and 4 trace 10.1 to 10.4 MB; with 10% of rows moved, 8.6-9.1 and 8.6-8.9 MB.
-# A fourth would fit, but its speed-up has not been measured on more than two CPUs.
+# Shares scored at once by analyze_pair, each in its own _Workspace (2.9 MB at
+# d = 64, 2.4 MB at d = 768). The traced peak of a 32,000 x 64 matrix must stay
+# below one float64 copy of it (16.4 MB): 3 shares trace 12.7 to 13.3 MB fully
+# moved and 11.1 to 11.4 MB with 10% of rows moved; 4 would trace 15.9 MB.
 _MAX_THREADS = 3
 
 SCORES_HEADER = "token_id,ks_statistic,p_value,cos,abs_l2,relative,ratio,kl,frequency"
@@ -223,10 +224,13 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Every block-sized array that one thread scores its blocks in.
+    """Every block-sized array that one thread scores its blocks in: 34 bytes
+    per block value, plus a KL tile of up to _KL_ROWS rows.
 
     Sized for the blocks _blocks(n, d) cuts. analyze_pair builds one per share
-    and fills it again, through out=, for every block of that share.
+    and fills it again, through out=, for every block of that share. Arrays
+    never in use at once share memory: the casts hold the kernel's sort keys,
+    ties the cheap metrics' masks, and tuned_below the sign flip's scratch.
     """
 
     def __init__(self, n: int, d: int):
@@ -236,22 +240,23 @@ class _Workspace:
         # guarded divisor, t the differences and then the quotients
         casts = np.empty((2, rows, d))
         self.b, self.t = casts
-        self.masks = np.empty((2, rows, d), dtype=bool)
         # _ks_kl_rows runs once the cheap metrics are done, so the casts'
         # memory holds its sort keys: one row of 2d per pair of rows
         self.keys = casts.reshape(rows, 2 * d).view(np.int64)
         # float32 halves, then per-slot ints, of the rows the kernel scores
         self.pooled = np.empty(2 * rows * d, dtype=np.int32)
-        tail = min(rows, _KL_ROWS)
-        self.scratch = np.empty(max(2 * rows * d, tail * (_KL_BINS - 1)), dtype=np.int32)
         self.ties = np.empty((rows, 2 * d), dtype=bool)
+        # the cheap metrics' masks live in the kernel's ties: the two never run at once
+        self.masks = self.ties.reshape(2, rows, d)
         # the tuned values among each row's first j sorted slots, j = 0..2d
-        self.tuned_below = np.zeros((rows, 2 * d + 1), dtype=np.int32)
+        self.tuned_below = np.empty((rows, 2 * d + 1), dtype=np.int32)
         self.slots = np.arange(1, 2 * d + 1, dtype=np.int32)
         # keys span [-2**32, 2**32): rows 2**34 apart never overlap
         self.row_offset = np.arange(rows, dtype=np.int64) << 34
         # the KL bins of up to _KL_ROWS rows at a time
+        tail = min(rows, _KL_ROWS)
         self.grid = np.arange(1.0, _KL_BINS)
+        self.scratch = np.empty((tail, _KL_BINS - 1), dtype=np.int32)
         self.edges = np.empty((tail, _KL_BINS - 1))
         self.edges32 = np.empty((tail, _KL_BINS - 1), dtype=np.float32)
         self.rounded_down = np.empty((tail, _KL_BINS - 1), dtype=bool)
@@ -266,10 +271,6 @@ class _Workspace:
     def ints(self, rows: int) -> np.ndarray:
         """(rows, 2d) int32 over the same memory as halves(rows)."""
         return self.pooled[: 2 * rows * self.d].reshape(rows, 2 * self.d)
-
-    def scratch_for(self, a: np.ndarray) -> np.ndarray:
-        """Scratch int32 of a's shape."""
-        return self.scratch[: a.size].reshape(a.shape)
 
 
 def _flip(bits: np.ndarray, scratch: np.ndarray) -> None:
@@ -301,7 +302,8 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     np.add(b, np.float32(0), out=halves[0])
     np.add(t, np.float32(0), out=halves[1])
     bits = halves.view(np.int32)
-    _flip(bits, ws.scratch_for(bits))
+    # tuned_below is free until the cumsum, so it holds the flip's scratch
+    _flip(bits, tuned_below.ravel()[: bits.size].reshape(bits.shape))
     np.left_shift(bits[0], 1, out=keys[:, :d], dtype=np.int64)
     np.left_shift(bits[1], 1, out=keys[:, d:], dtype=np.int64)
     keys[:, d:] |= 1
@@ -313,6 +315,7 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     ties[:, -1] = False
     ends = ints[:, [0, -1]]  # each row's least and greatest value
     np.bitwise_and(keys, 1, out=ints)
+    tuned_below[:, 0] = 0
     np.cumsum(ints, axis=1, dtype=np.int32, out=tuned_below[:, 1:])
 
     # KS: at slot s, c_b tuned and c_a = s + 1 - c_b base values lie at or
@@ -342,7 +345,7 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
         np.copyto(edges32, edges, casting="same_kind")
         np.less(edges32, edges, out=rounded_down)
         edge_bits = edges32.view(np.int32)
-        _flip(edge_bits, ws.scratch_for(edge_bits))
+        _flip(edge_bits, ws.scratch[:n])
         # one int up is the next float32 up: the least float32 >= the edge
         edge_keys = ws.edge_keys[:n]
         np.add(edge_bits, rounded_down, out=edge_keys, dtype=np.int64)
@@ -427,12 +430,14 @@ def _score_rows(
 def analyze_pair(base: TensorRecord, tuned: TensorRecord) -> ScoreTable:
     """Score every row of a shape-matched pair, ordered by token_id.
 
-    Rows are scored in blocks of about _CHUNK_ELEMENTS values, each cast to
-    float64 once; every value is bit-identical to score_row on that row. With
+    Rows are scored in blocks of _CHUNK_ELEMENTS // d rows (at least one),
+    each cast to float64 once; every value is bit-identical to score_row on
+    that row, whatever the block size and the number of CPUs. With
     W = min(CPUs, _MAX_THREADS) the calling thread scores blocks 0, W, 2W, ...
     and W - 1 pool threads the other residues (numpy releases the GIL inside
-    each call); one CPU starts no thread. Each share scores the cheap metrics
-    of its blocks first, then its moved rows in full KS and KL kernel blocks.
+    each call); one CPU starts no thread. Each share scores in its own
+    _Workspace (2.4 MB at d = 768), the cheap metrics of its blocks first,
+    then its moved rows in full KS and KL kernel blocks.
     """
     bm, tm = base.matrix, tuned.matrix
     if bm.shape != tm.shape:

@@ -505,13 +505,14 @@ def assert_matches_score_row(base, tuned, pairs=None):
     scores = analyze_pair(view_of(base), view_of(tuned))
     if pairs is None:
         pairs = np.arange(len(base))
-    first = {p: i for i, p in reversed(list(enumerate(pairs.tolist())))}
-    oracle = {p: score_row(base[i], tuned[i]) for p, i in first.items()}
+    distinct, first = np.unique(pairs, return_index=True)
+    oracle = [score_row(base[i], tuned[i]) for i in first]
+    of_row = np.searchsorted(distinct, pairs)
     assert scores.token_id.tolist() == list(range(len(base)))
     for name in METRICS:
-        want = np.array([getattr(oracle[p], name) for p in pairs.tolist()])
+        want = np.array([getattr(s, name) for s in oracle])[of_row]
         got = getattr(scores, name)
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
 def edge_row_pairs(d, seed=0):
@@ -744,10 +745,18 @@ def cpus(request, monkeypatch):
     return request.param
 
 
+# No thread, one, and the _MAX_THREADS cap: more CPUs than the cap take the
+# cap's code path, so only the tests of the cap itself run them.
+up_to_the_cap = pytest.mark.parametrize(
+    "cpus", [1, 2, 3], ids=lambda w: f"cpus{w}", indirect=True
+)
+
+
 @pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
 @pytest.mark.parametrize("v_of", [
     lambda r: 1, lambda r: r - 1, lambda r: r + 1, lambda r: 3 * r + 2, lambda r: 5 * r + 3,
 ], ids=["one-row", "chunk-minus-1", "chunk-plus-1", "four-chunks", "six-chunks"])
+@up_to_the_cap
 def test_analyze_pair_matches_score_row_oracle_at_any_cpu_count(cpus, d, v_of):
     # fewer blocks than CPUs, as many, and more; V never a multiple of the
     # block. Row i is pool pair pairs[i], so score_row runs once per pool pair.
@@ -762,6 +771,7 @@ def test_analyze_pair_matches_score_row_oracle_at_any_cpu_count(cpus, d, v_of):
 
 
 @pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
+@up_to_the_cap
 def test_analyze_pair_matches_score_row_on_random_rows_at_any_cpu_count(cpus, d):
     test_analyze_pair_matches_score_row_on_random_rows(d)
 
@@ -806,6 +816,46 @@ def test_analyze_pair_builds_one_workspace_per_share(cpus, monkeypatch):
         analyze_pair(view_of(base), view_of(base + 1.0))
         w = min(cpus, selection._MAX_THREADS, -(-v // r))
         assert built == [(v, d)] * w
+
+
+@pytest.mark.parametrize("d", [2, 64, 768, 4096])
+def test_workspace_holds_34_bytes_per_block_value_plus_the_kl_tile(d):
+    # a block-sized buffer added back fails here before it shows in the RSS
+    ws = selection._Workspace(1 << 30, d)
+    arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    owned = {id(a): a for a in (x if x.base is None else x.base for x in arrays)}
+    rows, tail = chunk_rows(d), min(chunk_rows(d), selection._KL_ROWS)
+    bins = selection._KL_BINS
+    # per block row: tuned_below's leading zero (4 bytes) and the row's key
+    # offset (8); per value of a pooled row: its slot number (4). The KL tile:
+    # 41 bytes per row and bin (edges, edges32, rounded_down, edge_keys,
+    # scratch, pt and pb), the tile's row numbers and the edge grid.
+    tile = tail * (41 * bins + 8) + 8 * bins
+    total = sum(a.nbytes for a in owned.values())
+    assert total <= 34 * rows * d + 12 * rows + 8 * d + tile
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=lambda n: f"cpus{n}")
+@pytest.mark.parametrize("moved", [0.1, 1.0], ids=["mostly-equal", "fully-moved"])
+@pytest.mark.parametrize("d", [64, 768])
+def test_analyze_pair_output_does_not_depend_on_the_block_size(monkeypatch, d, moved, n):
+    # several blocks at every size, the last one partial
+    monkeypatch.setattr(selection, "_cpu_count", lambda: n)
+    v = 3 * (1 << 17) // d + 5
+    rng = np.random.default_rng(d)
+    base = rng.normal(0.0, 0.05, (v, d)).astype(np.float32)
+    tuned = base.copy()
+    rows = rng.random(v) < moved
+    tuned[rows] += rng.normal(0.0, 0.002, (rows.sum(), d)).astype(np.float32)
+    quantised = rows & (np.arange(v) % 3 == 0)  # ties within and across halves
+    tuned[quantised] = np.round(tuned[quantised], 2)
+    views = view_of(base), view_of(tuned)
+    columns = []
+    for log2 in (14, 15, 16, 17):
+        monkeypatch.setattr(selection, "_CHUNK_ELEMENTS", 1 << log2)
+        scores = analyze_pair(*views)
+        columns.append([getattr(scores, name).tobytes() for name in ("token_id", *METRICS)])
+    assert columns[1:] == columns[:1] * 3
 
 
 @pytest.mark.parametrize("where", ["base", "tuned"])
@@ -914,6 +964,7 @@ def equal_and_moved_pools(d):
 
 
 @pytest.mark.parametrize("d", [2, 7, 64, 768])
+@up_to_the_cap
 def test_analyze_pair_matches_score_row_on_equal_rows_at_any_cpu_count(cpus, d):
     # several blocks in which no row reaches the KS and KL kernels: all-zero
     # and constant rows (the lo == hi KL branch) and +0.0 against -0.0 among them
@@ -924,6 +975,7 @@ def test_analyze_pair_matches_score_row_on_equal_rows_at_any_cpu_count(cpus, d):
 
 
 @pytest.mark.parametrize("d", [2, 7, 64, 768])
+@up_to_the_cap
 def test_analyze_pair_matches_score_row_with_one_moved_row_per_block_at_any_cpu_count(cpus, d):
     equal, moved = equal_and_moved_pools(d)
     r, rng = chunk_rows(d), np.random.default_rng(d)
@@ -1031,6 +1083,7 @@ def test_analyze_pair_runs_the_kernels_on_full_blocks_of_each_shares_moved_rows(
 
 
 @pytest.mark.parametrize("d", [2, 7, 64, 768])
+@up_to_the_cap
 def test_analyze_pair_matches_score_row_when_moved_rows_cross_block_ends_at_any_cpu_count(cpus, d):
     # a random 60% moved: a share's collected rows fill up in the middle of a
     # block and carry over its end
