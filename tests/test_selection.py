@@ -745,18 +745,10 @@ def cpus(request, monkeypatch):
     return request.param
 
 
-# No thread, one, and the _MAX_THREADS cap: more CPUs than the cap take the
-# cap's code path, so only the tests of the cap itself run them.
-up_to_the_cap = pytest.mark.parametrize(
-    "cpus", [1, 2, 3], ids=lambda w: f"cpus{w}", indirect=True
-)
-
-
 @pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
 @pytest.mark.parametrize("v_of", [
     lambda r: 1, lambda r: r - 1, lambda r: r + 1, lambda r: 3 * r + 2, lambda r: 5 * r + 3,
 ], ids=["one-row", "chunk-minus-1", "chunk-plus-1", "four-chunks", "six-chunks"])
-@up_to_the_cap
 def test_analyze_pair_matches_score_row_oracle_at_any_cpu_count(cpus, d, v_of):
     # fewer blocks than CPUs, as many, and more; V never a multiple of the
     # block. Row i is pool pair pairs[i], so score_row runs once per pool pair.
@@ -771,7 +763,6 @@ def test_analyze_pair_matches_score_row_oracle_at_any_cpu_count(cpus, d, v_of):
 
 
 @pytest.mark.parametrize("d", [2, 3, 7, 64, 100, 768])
-@up_to_the_cap
 def test_analyze_pair_matches_score_row_on_random_rows_at_any_cpu_count(cpus, d):
     test_analyze_pair_matches_score_row_on_random_rows(d)
 
@@ -964,7 +955,6 @@ def equal_and_moved_pools(d):
 
 
 @pytest.mark.parametrize("d", [2, 7, 64, 768])
-@up_to_the_cap
 def test_analyze_pair_matches_score_row_on_equal_rows_at_any_cpu_count(cpus, d):
     # several blocks in which no row reaches the KS and KL kernels: all-zero
     # and constant rows (the lo == hi KL branch) and +0.0 against -0.0 among them
@@ -975,7 +965,6 @@ def test_analyze_pair_matches_score_row_on_equal_rows_at_any_cpu_count(cpus, d):
 
 
 @pytest.mark.parametrize("d", [2, 7, 64, 768])
-@up_to_the_cap
 def test_analyze_pair_matches_score_row_with_one_moved_row_per_block_at_any_cpu_count(cpus, d):
     equal, moved = equal_and_moved_pools(d)
     r, rng = chunk_rows(d), np.random.default_rng(d)
@@ -1083,7 +1072,6 @@ def test_analyze_pair_runs_the_kernels_on_full_blocks_of_each_shares_moved_rows(
 
 
 @pytest.mark.parametrize("d", [2, 7, 64, 768])
-@up_to_the_cap
 def test_analyze_pair_matches_score_row_when_moved_rows_cross_block_ends_at_any_cpu_count(cpus, d):
     # a random 60% moved: a share's collected rows fill up in the middle of a
     # block and carry over its end
