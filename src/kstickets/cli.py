@@ -137,6 +137,14 @@ def _at_least(args, **bounds) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
+def _analyze_options(p) -> None:
+    p.add_argument("--base", required=True)
+    p.add_argument("--tuned", required=True)
+    p.add_argument("--tensor", required=True)
+    p.add_argument("--freq", help="counts CSV to attach as the frequency column")
+    p.add_argument("--out", required=True)
+
+
 def _cmd_analyze(args) -> None:
     base = read_checkpoint(args.base)
     tuned = read_checkpoint(args.tuned)
@@ -144,6 +152,16 @@ def _cmd_analyze(args) -> None:
     # a malformed counts file fails before any row is scored
     freq = None if args.freq is None else _read_counts_csv(args.freq, vb.shape[0])
     write_scores_csv(replace(analyze_pair(vb, vt), frequency=freq), args.out)
+
+
+def _select_options(p) -> None:
+    p.add_argument("--scores", required=True)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--alpha", type=float)
+    p.add_argument("--dim", type=int)
+    mode.add_argument("--method", choices=SELECTION_METHODS)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--out", required=True)
 
 
 def _cmd_select(args) -> None:
@@ -169,9 +187,23 @@ def _cmd_select(args) -> None:
     write_ticket_file(tickets, args.out)
 
 
+def _mask_options(p) -> None:
+    p.add_argument("--tickets", required=True)
+    p.add_argument("--complement", action="store_true")
+    p.add_argument("--out", required=True)
+
+
 def _cmd_mask(args) -> None:
     tickets = read_ticket_file(args.tickets)
     write_mask_file(emit_mask(tickets, complement=args.complement), args.out)
+
+
+def _transfer_options(p) -> None:
+    p.add_argument("--base", required=True)
+    p.add_argument("--tuned", required=True)
+    p.add_argument("--tensor", required=True)
+    p.add_argument("--tickets", required=True)
+    p.add_argument("--out", required=True)
 
 
 def _cmd_transfer(args) -> None:
@@ -180,6 +212,15 @@ def _cmd_transfer(args) -> None:
     tuned = read_checkpoint(args.tuned)
     tickets = read_ticket_file(args.tickets)
     write_checkpoint(splice_in_place(base, tuned, args.tensor, tickets), args.out)
+
+
+def _certify_options(p) -> None:
+    p.add_argument("--log", required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--alpha", required=True, help="comma-separated significance levels")
+    p.add_argument("--prob-source", choices=PROB_SOURCES, default="tuned")
+    p.add_argument("--first-k", type=int, help="keep only the first K positions per example")
+    p.add_argument("--out", required=True)
 
 
 def _cmd_certify(args) -> None:
@@ -202,6 +243,13 @@ def _cmd_certify(args) -> None:
     write_reports(reports, args.out)
 
 
+def _freq_options(p) -> None:
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--vocab", type=int, required=True)
+    p.add_argument("--top-k", type=int, help="write only the K most frequent tokens")
+    p.add_argument("--out", required=True)
+
+
 def _cmd_freq(args) -> None:
     _at_least(args, vocab=0, top_k=0)
     if args.top_k is not None and args.top_k > args.vocab:
@@ -211,13 +259,41 @@ def _cmd_freq(args) -> None:
     _write_counts_csv(counts, args.out, args.top_k)
 
 
+def _toy_gen_options(p) -> None:
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--vocab", type=int, required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--zipf", type=float, default=1.5)
+    p.add_argument("--out", required=True)
+
+
 def _cmd_toy_gen(args) -> None:
     task = generate_task(args.seed, args.vocab, args.pairs, args.zipf)
     write_task_csv(task, args.out)
 
 
+def _toy_init_options(p) -> None:
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--vocab", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--out", required=True)
+
+
 def _cmd_toy_init(args) -> None:
     write_checkpoint(model_to_checkpoint(init_model(args.seed, args.vocab, args.dim)), args.out)
+
+
+def _toy_train_options(p) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--task", required=True)
+    p.add_argument("--mode", choices=list(TRAIN_MODES), required=True)
+    p.add_argument("--tickets")
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.add_argument("--loss-out")
 
 
 def _cmd_toy_train(args) -> None:
@@ -235,6 +311,12 @@ def _cmd_toy_train(args) -> None:
         write_csv(args.loss_out, "epoch,loss", [np.arange(len(losses)), np.array(losses)])
 
 
+def _toy_eval_options(p) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--task", required=True)
+    p.add_argument("--out")
+
+
 def _cmd_toy_eval(args) -> None:
     model = model_from_checkpoint(read_checkpoint(args.model))
     task = read_task_csv(args.task, model.vocab_size)
@@ -242,6 +324,14 @@ def _cmd_toy_eval(args) -> None:
     print(line)
     if args.out is not None:
         write_text(args.out, line + "\n")
+
+
+def _toy_predict_log_options(p) -> None:
+    p.add_argument("--tuned", required=True)
+    p.add_argument("--partial")
+    p.add_argument("--base")
+    p.add_argument("--task", required=True)
+    p.add_argument("--out", required=True)
 
 
 def _cmd_toy_predict_log(args) -> None:
@@ -253,109 +343,56 @@ def _cmd_toy_predict_log(args) -> None:
     write_prediction_log(emit_prediction_log(tuned, partial, base, task), args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {  # name: (help, handler, adds its options); a group: (help, None, its own table)
+    "analyze": ("score every row of a checkpoint pair", _cmd_analyze, _analyze_options),
+    "select": ("pick winning-ticket rows from a scores CSV", _cmd_select, _select_options),
+    "mask": ("emit a 0/1 trainability mask from tickets", _cmd_mask, _mask_options),
+    "transfer": ("splice ticket rows from tuned into base", _cmd_transfer, _transfer_options),
+    "certify": ("certified-accuracy report from a prediction log", _cmd_certify, _certify_options),
+    "freq": ("count token occurrences in an id stream", _cmd_freq, _freq_options),
+    "toy": ("desk-scale trainer utilities", None, {
+        "gen": ("generate a seeded Zipf token-mapping task", _cmd_toy_gen, _toy_gen_options),
+        "init": ("initialize a seeded model checkpoint", _cmd_toy_init, _toy_init_options),
+        "train": ("train a model on a task (maskable modes)", _cmd_toy_train, _toy_train_options),
+        "eval": ("pair accuracy of a model on a task", _cmd_toy_eval, _toy_eval_options),
+        "predict-log": ("emit a per-pair prediction log CSV", _cmd_toy_predict_log,
+                        _toy_predict_log_options),
+    }),
+}
+
+
+def _names_leaf(table, argv) -> bool:
+    """Whether argv starts with command names that end at a leaf of table."""
+    entry = table.get(argv[0]) if argv else None
+    return entry is not None and (entry[1] is not None or _names_leaf(entry[2], argv[1:]))
+
+
+def _add_commands(parser, dest, table, argv) -> None:
+    sub = parser.add_subparsers(dest=dest, parser_class=_Parser)
+    named = _names_leaf(table, argv)
+    for name in argv[:1] if named else table:
+        help_text, handler, options = table[name]
+        p = sub.add_parser(name, help=help_text)
+        if handler is None:
+            _add_commands(p, f"{name}_command", options, argv[1:] if named else ())
+        else:
+            options(p)
+            p.set_defaults(handler=handler)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """Every command's parser, or only those on the path to the leaf command
+    argv names (`mask ...`, `toy train ...`): building all of them is most of a
+    short stage's time. Any other argv (no command, --help, an unknown
+    command, `toy` alone) gets them all, so every help and usage text holds."""
     parser = _Parser(prog="kstickets", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("analyze", help="score every row of a checkpoint pair")
-    p.add_argument("--base", required=True)
-    p.add_argument("--tuned", required=True)
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--freq", help="counts CSV to attach as the frequency column")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("select", help="pick winning-ticket rows from a scores CSV")
-    p.add_argument("--scores", required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--alpha", type=float)
-    p.add_argument("--dim", type=int)
-    mode.add_argument("--method", choices=SELECTION_METHODS)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_select)
-
-    p = sub.add_parser("mask", help="emit a 0/1 trainability mask from tickets")
-    p.add_argument("--tickets", required=True)
-    p.add_argument("--complement", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_mask)
-
-    p = sub.add_parser("transfer", help="splice ticket rows from tuned into base")
-    p.add_argument("--base", required=True)
-    p.add_argument("--tuned", required=True)
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--tickets", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_transfer)
-
-    p = sub.add_parser("certify", help="certified-accuracy report from a prediction log")
-    p.add_argument("--log", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="comma-separated significance levels")
-    p.add_argument("--prob-source", choices=PROB_SOURCES, default="tuned")
-    p.add_argument("--first-k", type=int, help="keep only the first K positions per example")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_certify)
-
-    p = sub.add_parser("freq", help="count token occurrences in an id stream")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--top-k", type=int, help="write only the K most frequent tokens")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_freq)
-
-    toy = sub.add_parser("toy", help="desk-scale trainer utilities")
-    toysub = toy.add_subparsers(dest="toy_command", parser_class=_Parser)
-
-    p = toysub.add_parser("gen", help="generate a seeded Zipf token-mapping task")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--zipf", type=float, default=1.5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_toy_gen)
-
-    p = toysub.add_parser("init", help="initialize a seeded model checkpoint")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_toy_init)
-
-    p = toysub.add_parser("train", help="train a model on a task (maskable modes)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--task", required=True)
-    p.add_argument("--mode", choices=list(TRAIN_MODES), required=True)
-    p.add_argument("--tickets")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--loss-out")
-    p.set_defaults(handler=_cmd_toy_train)
-
-    p = toysub.add_parser("eval", help="pair accuracy of a model on a task")
-    p.add_argument("--model", required=True)
-    p.add_argument("--task", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_toy_eval)
-
-    p = toysub.add_parser("predict-log", help="emit a per-pair prediction log CSV")
-    p.add_argument("--tuned", required=True)
-    p.add_argument("--partial")
-    p.add_argument("--base")
-    p.add_argument("--task", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_toy_predict_log)
-
+    _add_commands(parser, "command", _COMMANDS, list(argv))
     return parser
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

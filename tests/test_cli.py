@@ -64,6 +64,46 @@ def test_subcommand_help_exits_zero(cmd, capsys):
     assert run(cmd + ["--help"]) == 0
 
 
+HELP_ARGV = [[], ["toy"]] + [c + ["--help"] for c in [
+    [], ["analyze"], ["select"], ["mask"], ["transfer"], ["certify"], ["freq"], ["toy"],
+    ["toy", "gen"], ["toy", "init"], ["toy", "train"], ["toy", "eval"], ["toy", "predict-log"],
+]] + [["bogus"], ["toy", "bogus"], ["-x"], ["mask", "--nope"], ["toy", "train"]]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_help_and_usage_texts_are_the_full_parsers(argv, capsys, monkeypatch):
+    # run() builds only the named command's parsers; every text it prints,
+    # and its exit code, must be what the parser of every command gives
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(argv), capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert (run(argv), capsys.readouterr()) == got
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["mask", "--tickets", "t", "--out", "o", "--nope"], 2),
+    (["toy", "train", "--nope"], 3),
+    (["--help"], 13),
+    ([], 13),
+    (["toy"], 13),
+], ids=["mask", "toy-train", "help", "no-argv", "toy"])
+def test_a_leaf_command_builds_only_its_own_parsers(argv, built, capsys, monkeypatch):
+    count = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    run(argv)
+    assert len(count) == built
+    count.clear()
+    cli.build_parser()
+    assert len(count) == 13  # with no argv, every command
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert run([]) == 1
 

@@ -889,10 +889,13 @@ def test_analyze_cli_exits_2_on_non_finite_rows_in_a_pool_block(cpus, tmp_path, 
 def test_analyze_pair_on_more_threads_than_cores_switching_often(monkeypatch):
     # every pool thread writes its own rows of shared columns: a lost or
     # misplaced write would leave a row unlike the one-CPU result. The cap is
-    # lifted so that the threads outnumber the cores.
+    # lifted so that the threads outnumber the cores. Small blocks keep the
+    # 37 full blocks and a tail cheap; chunk_rows reads the constant imported
+    # at collection, so the rows come from the patched value.
+    monkeypatch.setattr(selection, "_CHUNK_ELEMENTS", 1 << 10)
     rng = np.random.default_rng(9)
     d = 16
-    base = rng.normal(size=(37 * chunk_rows(d) + 11, d))
+    base = rng.normal(size=(37 * (selection._CHUNK_ELEMENTS // d) + 11, d))
     views = view_of(base), view_of(base + rng.normal(0.0, 0.01, base.shape))
     monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
     want = analyze_pair(*views)
