@@ -178,12 +178,15 @@ def read_checkpoint(path) -> Checkpoint:
                 f"{path}: corrupt checkpoint (tensor {name!r} length/shape mismatch)"
             )
         data = np.frombuffer(payload, dtype="<f4", count=length // 4, offset=off)
-        tensors.append(TensorRecord(name, shape, data))
+        tensors.append((name, shape, data))
     if end != len(payload):
         raise CheckpointError(
             f"{path}: corrupt checkpoint ({len(payload) - end} trailing payload bytes)"
         )
-    return Checkpoint(tensors)
+    try:  # the layout holds; a fault of the tensors themselves names the file too
+        return Checkpoint([TensorRecord(*t) for t in tensors])
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def get_embedding(ckpt: Checkpoint, tensor_name: str) -> TensorRecord:

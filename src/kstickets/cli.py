@@ -24,7 +24,6 @@ from .certify import (
     write_reports,
 )
 from .checkpoint import (
-    CheckpointError,
     read_checkpoint,
     validate_pair,
     write_checkpoint,
@@ -137,12 +136,15 @@ def _at_least(args, **bounds) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
+def _required(p, *flags, **kwargs) -> None:
+    for flag in flags:
+        p.add_argument(flag, required=True, **kwargs)
+
+
 def _analyze_options(p) -> None:
-    p.add_argument("--base", required=True)
-    p.add_argument("--tuned", required=True)
-    p.add_argument("--tensor", required=True)
+    _required(p, "--base", "--tuned", "--tensor")
     p.add_argument("--freq", help="counts CSV to attach as the frequency column")
-    p.add_argument("--out", required=True)
+    _required(p, "--out")
 
 
 def _cmd_analyze(args) -> None:
@@ -155,13 +157,13 @@ def _cmd_analyze(args) -> None:
 
 
 def _select_options(p) -> None:
-    p.add_argument("--scores", required=True)
+    _required(p, "--scores")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--alpha", type=float)
     p.add_argument("--dim", type=int)
     mode.add_argument("--method", choices=SELECTION_METHODS)
     p.add_argument("--top-k", type=int)
-    p.add_argument("--out", required=True)
+    _required(p, "--out")
 
 
 def _cmd_select(args) -> None:
@@ -188,9 +190,9 @@ def _cmd_select(args) -> None:
 
 
 def _mask_options(p) -> None:
-    p.add_argument("--tickets", required=True)
+    _required(p, "--tickets")
     p.add_argument("--complement", action="store_true")
-    p.add_argument("--out", required=True)
+    _required(p, "--out")
 
 
 def _cmd_mask(args) -> None:
@@ -199,11 +201,7 @@ def _cmd_mask(args) -> None:
 
 
 def _transfer_options(p) -> None:
-    p.add_argument("--base", required=True)
-    p.add_argument("--tuned", required=True)
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--tickets", required=True)
-    p.add_argument("--out", required=True)
+    _required(p, "--base", "--tuned", "--tensor", "--tickets", "--out")
 
 
 def _cmd_transfer(args) -> None:
@@ -215,12 +213,12 @@ def _cmd_transfer(args) -> None:
 
 
 def _certify_options(p) -> None:
-    p.add_argument("--log", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="comma-separated significance levels")
+    _required(p, "--log")
+    _required(p, "--dim", type=int)
+    _required(p, "--alpha", help="comma-separated significance levels")
     p.add_argument("--prob-source", choices=PROB_SOURCES, default="tuned")
     p.add_argument("--first-k", type=int, help="keep only the first K positions per example")
-    p.add_argument("--out", required=True)
+    _required(p, "--out")
 
 
 def _cmd_certify(args) -> None:
@@ -244,10 +242,10 @@ def _cmd_certify(args) -> None:
 
 
 def _freq_options(p) -> None:
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", type=int, required=True)
+    _required(p, "--corpus")
+    _required(p, "--vocab", type=int)
     p.add_argument("--top-k", type=int, help="write only the K most frequent tokens")
-    p.add_argument("--out", required=True)
+    _required(p, "--out")
 
 
 def _cmd_freq(args) -> None:
@@ -260,11 +258,9 @@ def _cmd_freq(args) -> None:
 
 
 def _toy_gen_options(p) -> None:
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--pairs", type=int, required=True)
+    _required(p, "--seed", "--vocab", "--pairs", type=int)
     p.add_argument("--zipf", type=float, default=1.5)
-    p.add_argument("--out", required=True)
+    _required(p, "--out")
 
 
 def _cmd_toy_gen(args) -> None:
@@ -273,10 +269,8 @@ def _cmd_toy_gen(args) -> None:
 
 
 def _toy_init_options(p) -> None:
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--out", required=True)
+    _required(p, "--seed", "--vocab", "--dim", type=int)
+    _required(p, "--out")
 
 
 def _cmd_toy_init(args) -> None:
@@ -284,15 +278,14 @@ def _cmd_toy_init(args) -> None:
 
 
 def _toy_train_options(p) -> None:
-    p.add_argument("--model", required=True)
-    p.add_argument("--task", required=True)
-    p.add_argument("--mode", choices=list(TRAIN_MODES), required=True)
+    _required(p, "--model", "--task")
+    _required(p, "--mode", choices=list(TRAIN_MODES))
     p.add_argument("--tickets")
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _required(p, "--out")
     p.add_argument("--loss-out")
 
 
@@ -312,8 +305,7 @@ def _cmd_toy_train(args) -> None:
 
 
 def _toy_eval_options(p) -> None:
-    p.add_argument("--model", required=True)
-    p.add_argument("--task", required=True)
+    _required(p, "--model", "--task")
     p.add_argument("--out")
 
 
@@ -327,11 +319,10 @@ def _cmd_toy_eval(args) -> None:
 
 
 def _toy_predict_log_options(p) -> None:
-    p.add_argument("--tuned", required=True)
+    _required(p, "--tuned")
     p.add_argument("--partial")
     p.add_argument("--base")
-    p.add_argument("--task", required=True)
-    p.add_argument("--out", required=True)
+    _required(p, "--task", "--out")
 
 
 def _cmd_toy_predict_log(args) -> None:
@@ -395,20 +386,16 @@ def run(argv=None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "handler", None) is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        args.handler(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (CheckpointError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from ._text import (
-    FLOAT,
+    Column,
     INT,
     OPTIONAL_INT,
     blank_cells,
@@ -572,7 +572,9 @@ def write_scores_csv(scores: ScoreTable, path) -> None:
 
 def read_scores_csv(path) -> ScoreTable:
     """A blank frequency cell in any row leaves the whole column absent."""
-    parsers = (INT, *[FLOAT] * len(METRICS), OPTIONAL_INT)
+    metrics = [Column(np.float64, valid=np.isfinite, invalid=f"{name} {{}} is not finite")
+               for name in METRICS]
+    parsers = (INT, *metrics, OPTIONAL_INT)
     *columns, freq = read_csv(path, SCORES_HEADER, parsers, "scores")
     if not len(columns[0]):
         raise ValueError(f"{path}: no rows")

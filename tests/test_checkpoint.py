@@ -191,6 +191,24 @@ class TestValidation:
             read_checkpoint(path)
         assert str(info.value) == f"{path}: corrupt checkpoint ({reason})"
 
+    @pytest.mark.parametrize(
+        "header, payload, reason",
+        [
+            (b"w\t2\t0\t8\n", np.array([1, np.nan], dtype="<f4").tobytes(),
+             "tensor 'w': data must be finite"),
+            (b"w\t2\t0\t8\nw\t2\t8\t8\n", bytes(16), "duplicate tensor 'w'"),
+            (b"\t2\t0\t8\n", bytes(8), "tensor name must be non-empty"),
+        ],
+        ids=["nan-payload", "duplicate-name", "empty-name"],
+    )
+    def test_content_fault_names_the_file(self, tmp_path, header, payload, reason):
+        # analyze reads two checkpoints: the message must say which one is bad
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(b"KSLT" + struct.pack("<II", 1, len(header)) + header + payload)
+        with pytest.raises(CheckpointError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: {reason}"
+
 
 def traced_peak(fn, *args):
     """(result, peak bytes allocated while fn runs, numpy buffers included)."""

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -102,6 +103,78 @@ def test_a_leaf_command_builds_only_its_own_parsers(argv, built, capsys, monkeyp
     count.clear()
     cli.build_parser()
     assert len(count) == 13  # with no argv, every command
+
+
+_METHODS = ("ks", "cos", "abs", "relative", "ratio", "kl", "frequency")
+_MODES = ("full", "embed", "partial", "frozen_complement")
+_REQ = (True, None, None, None, None)  # required, no type, default, choices or help
+_INT = (True, int, None, None, None)
+_OPT = (False, None, None, None, None)
+# Each leaf command's options in declaration order, as (option_strings,
+# required, type, default, choices, help), then each mutually exclusive
+# group as (its option strings, required).
+OPTION_DECLARATIONS = {
+    "analyze": [(("--base",), *_REQ), (("--tuned",), *_REQ), (("--tensor",), *_REQ),
+                (("--freq",), False, None, None, None,
+                 "counts CSV to attach as the frequency column"),
+                (("--out",), *_REQ)],
+    "select": [(("--scores",), *_REQ), (("--alpha",), False, float, None, None, None),
+               (("--dim",), False, int, None, None, None),
+               (("--method",), False, None, None, _METHODS, None),
+               (("--top-k",), False, int, None, None, None), (("--out",), *_REQ),
+               (("--alpha", "--method"), True)],
+    "mask": [(("--tickets",), *_REQ), (("--complement",), False, None, False, None, None),
+             (("--out",), *_REQ)],
+    "transfer": [(("--base",), *_REQ), (("--tuned",), *_REQ), (("--tensor",), *_REQ),
+                 (("--tickets",), *_REQ), (("--out",), *_REQ)],
+    "certify": [(("--log",), *_REQ), (("--dim",), *_INT),
+                (("--alpha",), True, None, None, None, "comma-separated significance levels"),
+                (("--prob-source",), False, None, "tuned", ("tuned", "base"), None),
+                (("--first-k",), False, int, None, None,
+                 "keep only the first K positions per example"),
+                (("--out",), *_REQ)],
+    "freq": [(("--corpus",), *_REQ), (("--vocab",), *_INT),
+             (("--top-k",), False, int, None, None, "write only the K most frequent tokens"),
+             (("--out",), *_REQ)],
+    "toy gen": [(("--seed",), *_INT), (("--vocab",), *_INT), (("--pairs",), *_INT),
+                (("--zipf",), False, float, 1.5, None, None), (("--out",), *_REQ)],
+    "toy init": [(("--seed",), *_INT), (("--vocab",), *_INT), (("--dim",), *_INT),
+                 (("--out",), *_REQ)],
+    "toy train": [(("--model",), *_REQ), (("--task",), *_REQ),
+                  (("--mode",), True, None, None, _MODES, None), (("--tickets",), *_OPT),
+                  (("--lr",), False, float, 0.1, None, None),
+                  (("--epochs",), False, int, 50, None, None),
+                  (("--batch-size",), False, int, 32, None, None),
+                  (("--seed",), False, int, 0, None, None), (("--out",), *_REQ),
+                  (("--loss-out",), *_OPT)],
+    "toy eval": [(("--model",), *_REQ), (("--task",), *_REQ), (("--out",), *_OPT)],
+    "toy predict-log": [(("--tuned",), *_REQ), (("--partial",), *_OPT), (("--base",), *_OPT),
+                        (("--task",), *_REQ), (("--out",), *_REQ)],
+}
+
+
+def _leaf_declarations(parser, path=()):
+    """{command path: its options and groups, as in OPTION_DECLARATIONS}."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        options = [
+            (tuple(a.option_strings), a.required, a.type, a.default,
+             None if a.choices is None else tuple(a.choices), a.help)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        groups = [(tuple(o for a in g._group_actions for o in a.option_strings), g.required)
+                  for g in parser._mutually_exclusive_groups]
+        return {" ".join(path): options + groups}
+    leaves = {}
+    for name, sub in subs[0].choices.items():
+        leaves.update(_leaf_declarations(sub, path + (name,)))
+    return leaves
+
+
+def test_every_command_declares_the_pinned_options():
+    # the help texts are compared against a parser built by the same code, so
+    # they cannot see a changed declaration; this table can, on any Python
+    assert _leaf_declarations(cli.build_parser()) == OPTION_DECLARATIONS
 
 
 def test_no_subcommand_is_usage_error(capsys):

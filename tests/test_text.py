@@ -224,6 +224,10 @@ def test_c_parser_gives_pythons_answer_on_one_column(tmp_path, monkeypatch, body
 MALFORMED = [
     ("scores", read_scores_csv, f"{SCORES_HEADER}\n0,0,1,1,0,0,1,0,\n1,0,1,x,0,0,1,0,\n",
      "line 3: could not convert string to float: 'x'"),
+    ("scores", read_scores_csv, f"{SCORES_HEADER}\n0,0,1,1,0,0,1,0,\n1,0,1,nan,0,0,1,0,\n",
+     "line 3: cos nan is not finite"),
+    ("scores", read_scores_csv, f"{SCORES_HEADER}\n0,0,1,1,0,0,1,0,\n1,0,1,1,inf,0,1,0,\n",
+     "line 3: abs_l2 inf is not finite"),
     ("log", read_prediction_log, f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,,\n0,1,1,1,0.9,zz,,,\n",
      "line 3: could not convert string to float: 'zz'"),
     ("counts", lambda p: _read_counts_csv(p, 8), "token_id,count\n0,1\n8,1\n",
@@ -236,7 +240,8 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("what, read, text, reason", MALFORMED,
-                         ids=["scores", "log", "counts", "task-source", "task-target"])
+                         ids=["scores", "scores-nan", "scores-inf", "log", "counts",
+                              "task-source", "task-target"])
 def test_every_reader_names_path_and_line_of_a_bad_row(tmp_path, what, read, text, reason):
     path = tmp_path / f"{what}.csv"
     path.write_text(text)
