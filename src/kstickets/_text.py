@@ -131,46 +131,34 @@ def read_csv(path, header: str, parsers, what: str) -> list:
         raise ValueError(f"{path}: not a {what} file (bad header)")
     rows = lines[1:]
     ncells = header.count(",") + 1
-    return (_c_columns(text, rows, parsers, ncells)
+    # numpy reads a text cell that starts with NUL as "", which Python's parse refuses
+    return (("\0" not in text and _c_columns(rows, parsers, ncells))
             or _python_columns(path, rows, parsers, what, ncells))
 
 
-def _c_columns(text: str, rows: list[str], parsers, ncells: int) -> list | None:
+def _c_columns(rows: list[str], parsers, ncells: int) -> list | None:
     """The columns np.loadtxt parses from rows, or None wherever its answer
-    could differ from Python's: it raised or warned, it skipped a row, a
-    row's cell count is not ncells, or a value fails valid.
-
-    Optional columns left blank in the first row, when trailing, are left
-    out of the parse (usecols); they must be blank on every row.
-    """
+    could differ from Python's: it raised or warned (as on a row whose cell
+    count is not ncells), it skipped a row, or a value fails valid. An optional
+    column blank in the first row is read as text, must be blank on every
+    row, and is returned as None."""
     if not rows or rows[0].count(",") != ncells - 1:
         return None
-    first = rows[0].split(",")
-    used = ncells
-    while used > 1 and parsers[used - 1].optional and first[used - 1] == "":
-        used -= 1
-    # Every row has exactly ncells cells: the commas add up, numpy found the
-    # used cells of every row, and every row ends with the blank ones.
-    blank = "," * (ncells - used)
-    if text.count(",") != (len(rows) + 1) * (ncells - 1):
-        return None
-    if blank and text.count(blank + "\n") + text.endswith(blank) != len(rows):
-        return None
-    dtype = np.dtype([(f"c{j}", parsers[j].dtype) for j in range(used)])
+    blank = [parse.optional and cell == "" for parse, cell in zip(parsers, rows[0].split(","))]
+    dtype = np.dtype([(f"c{j}", "U1" if blank[j] else p.dtype) for j, p in enumerate(parsers)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
-                               usecols=tuple(range(used)), ndmin=1)
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, OverflowError, Warning):  # Python's parse decides
             return None
     if table.size != len(rows):
         return None
-    parsed = [table[name] for name in dtype.names] + [None] * (ncells - used)
-    for parse, values in zip(parsers, parsed):
-        if parse.valid is not None and values is not None and not parse.valid(values).all():
+    columns = [table[name] for name in dtype.names]
+    for parse, skip, values in zip(parsers, blank, columns):
+        if not ((values == "").all() if skip else parse.valid is None or parse.valid(values).all()):
             return None
-    return parsed
+    return [None if skip else values for skip, values in zip(blank, columns)]
 
 
 def _python_columns(path, rows: list[str], parsers, what: str, ncells: int) -> list[list]:

@@ -185,7 +185,10 @@ def _cmd_select(args) -> None:
                 f"analyzed at another --dim?"
             )
     else:
-        tickets = select_top_k(scores, args.method, args.top_k)
+        try:
+            tickets = select_top_k(scores, args.method, args.top_k)
+        except ValueError as exc:
+            raise ValueError(f"{args.scores}: {exc}") from exc
     write_ticket_file(tickets, args.out)
 
 
@@ -237,7 +240,10 @@ def _cmd_certify(args) -> None:
     if not len(log):
         kept = "" if args.first_k is None else f" at a position below --first-k {args.first_k}"
         raise ValueError(f"{args.log}: no records{kept}")
-    reports = alpha_sweep(log, alphas, args.dim, args.prob_source)
+    try:
+        reports = alpha_sweep(log, alphas, args.dim, args.prob_source)
+    except ValueError as exc:
+        raise ValueError(f"{args.log}: {exc}") from exc
     write_reports(reports, args.out)
 
 

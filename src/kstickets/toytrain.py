@@ -202,6 +202,11 @@ def _grad(probs, rows, inverse, tgt, w64) -> tuple[np.ndarray, np.ndarray]:
     return delta, grad
 
 
+def _check_vocab(model: ToyModel, task: SyntheticTask) -> None:
+    if task.vocab_size != model.vocab_size:
+        raise ValueError(f"task vocab {task.vocab_size} does not match model vocab {model.vocab_size}")
+
+
 def train(
     model: ToyModel, task: SyntheticTask, config: TrainConfig
 ) -> tuple[ToyModel, list[float]]:
@@ -212,11 +217,7 @@ def train(
     writes only the trainable rows its batch reads, so every other row stays
     bit-identical to the input model. Output weights update only in full mode.
     """
-    if task.vocab_size != model.vocab_size:
-        raise ValueError(
-            f"task vocab {task.vocab_size} does not match model vocab "
-            f"{model.vocab_size}"
-        )
+    _check_vocab(model, task)
     if config.tickets is not None and config.tickets.vocab_size != model.vocab_size:
         raise ValueError("ticket vocab_size does not match model")
 
@@ -253,6 +254,7 @@ def train(
 
 def evaluate(model: ToyModel, task: SyntheticTask) -> float:
     """Fraction of pairs predicted exactly; argmax ties go to the lowest id."""
+    _check_vocab(model, task)
     _, inverse, probs = _distinct_probs(model.embedding, model.output_weights, task.sources)
     return float((np.argmax(probs, axis=1)[inverse] == task.targets).mean())
 
@@ -276,6 +278,7 @@ def emit_prediction_log(
     task: SyntheticTask,
 ) -> PredictionLog:
     """One record per pair, grouped into pseudo-examples of 20 positions."""
+    _check_vocab(tuned_model, task)
     shape = tuned_model.embedding.shape
     for other in (partial_model, base_model):
         if other is not None and other.embedding.shape != shape:

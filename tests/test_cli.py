@@ -787,6 +787,24 @@ def test_table_errors_name_the_file(tmp_path, capsys, name, text, argv, reason):
     assert not out.exists()
 
 
+def test_whole_file_faults_of_select_and_certify_name_the_file(tmp_path, capsys):
+    scores, log = tmp_path / "scores.csv", tmp_path / "log.csv"
+    scores.write_text(SCORES_HEADER + "\n" + "".join(f"{i},0,1,1,0,0,1,0,\n" for i in range(8192)))
+    log.write_text(f"{LOG_HEADER}\n0,0,1,1,0.9,0.1,,,\n")
+    out = tmp_path / "out.txt"
+    for argv, reason in (
+        (["select", "--scores", scores, "--method", "frequency", "--top-k", "1"],
+         f"{scores}: frequency ranking requires counts on every score"),
+        (["select", "--scores", scores, "--method", "ks", "--top-k", "9000"],
+         f"{scores}: k=9000 exceeds vocab size 8192"),
+        (["certify", "--log", log, "--dim", "4", "--alpha", "0.05", "--prob-source", "base"],
+         f"{log}: record has no base-model probabilities"),
+    ):
+        assert run([*map(str, argv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
+
 def test_checkpoint_with_trailing_bytes_exits_two(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)

@@ -154,7 +154,7 @@ def with_cell(j, cell):
 BODIES = {
     **{f"cell-{j}-{cell!r}": f"{with_cell(j, cell)}\n{','.join(ROW)}\n"
        for j in range(4) for cell in CELLS},
-    # the first row decides which trailing optional columns numpy skips, so
+    # the first row decides which optional columns numpy reads as text, so
     # every cell is also read in the second
     **{f"row-2-cell-{j}-{cell!r}": f"{','.join(ROW)}\n{with_cell(j, cell)}\n"
        for j in range(4) for cell in (*CELLS, "x")},
@@ -181,6 +181,14 @@ BODIES = {
     "mixed-blank-first": "1,0.5,2,\n3,0.25,,\n",
     "mixed-blank-middle": "1,0.5,2,0.5\n3,0.25,,0.125\n",
     "blank-optional-as-space": "1,0.5, ,\n3,0.25,,\n",
+    # the comma total balances while the row lengths differ: numpy's own cell
+    # count must refuse the file
+    "balanced-extra-and-missing-cell": "1,0.5,2,0.5\n1,0.5,2,0.5,9\n1,0.5,2\n",
+    "balanced-extra-and-missing-cell-blank-optional": "1,0.5,,0.5\n1,0.5,,0.5,9\n1,0.5,\n",
+    # numpy reads a text cell that starts with NUL as blank; Python refuses it
+    "blank-optional-then-nul": "1,0.5,,0.5\n3,0.25,\x00,0.125\n",
+    "blank-optional-then-nul-prefixed": "1,0.5,,0.5\n3,0.25,\x007,0.125\n",
+    "blank-last-optional-then-nul": "1,0.5,2,\n3,0.25,4,\x00\n",
 }
 PARSERS = (INT, FLOAT, OPTIONAL_INT, OPTIONAL_FLOAT)
 
@@ -296,6 +304,7 @@ def test_workload_files_take_the_c_parser(tmp_path, monkeypatch):
     cli(*predict, "--out", t / "log.csv")
     cli(*predict, "--partial", t / "tuned.ckpt", "--base", t / "base.ckpt", "--out", t / "log-full.csv")
     cli(*predict, "--partial", t / "tuned.ckpt", "--out", t / "log-partial.csv")
+    cli(*predict, "--base", t / "base.ckpt", "--out", t / "log-base.csv")
 
     def refuse(*args):
         raise AssertionError("Python's parse was entered")
@@ -307,6 +316,8 @@ def test_workload_files_take_the_c_parser(tmp_path, monkeypatch):
     full = read_prediction_log(t / "log-full.csv")
     assert full.partial_prediction is not None and full.base_p2 is not None
     assert read_prediction_log(t / "log-partial.csv").base_p1 is None
+    base = read_prediction_log(t / "log-base.csv")
+    assert base.partial_prediction is None and base.base_p1 is not None
     assert _read_counts_csv(t / "counts.csv", 64).sum() == 3 * 64
     assert len(read_task_csv(t / "task.csv", 64).sources) == 300
 

@@ -291,6 +291,17 @@ class TestPredictionLog:
         np.testing.assert_allclose(log.base_p1, base_probs.max(axis=1), rtol=1e-12)
 
 
+@pytest.mark.parametrize("vocab", [8, 32])
+@pytest.mark.parametrize(
+    "use", [evaluate, lambda model, task: emit_prediction_log(model, None, None, task)],
+    ids=["evaluate", "emit_prediction_log"],
+)
+def test_task_of_another_vocab_is_refused(use, vocab):
+    # a larger vocab would index past the model's rows, and a smaller one would be scored
+    with pytest.raises(ValueError, match=f"^task vocab {vocab} does not match model vocab 16$"):
+        use(init_model(0, 16, 8), generate_task(1, vocab, 50))
+
+
 def test_prediction_log_peak_is_one_probability_matrix():
     """The softmax works in place: a log of three models peaks near one n x V float64 matrix."""
     task, models = generate_task(6, 4096, 1000, 1.5), [init_model(s, 4096, 64) for s in (1, 2, 3)]
