@@ -304,6 +304,9 @@ def _cmd_toy_train(args) -> None:
     model = model_from_checkpoint(read_checkpoint(args.model))
     task = read_task_csv(args.task, model.vocab_size)
     tickets = None if args.tickets is None else read_ticket_file(args.tickets)
+    if tickets is not None and tickets.vocab_size != model.vocab_size:
+        raise ValueError(f"{args.tickets}: ticket vocab_size {tickets.vocab_size} "
+                         f"does not match model vocab {model.vocab_size}")
     tuned, losses = train(model, task, replace(config, mode=args.mode, tickets=tickets))
     write_checkpoint(model_to_checkpoint(tuned), args.out)
     if args.loss_out is not None:

@@ -178,27 +178,32 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _distinct_probs(embedding, output_weights, sources) -> tuple[np.ndarray, ...]:
+def _product(a, b, pad: bool) -> np.ndarray:
+    """a @ b, a 1-row a padded to 2 rows if pad (OpenBLAS rounds 1-row products apart)."""
+    return (np.repeat(a, 2, axis=0) @ b)[:1] if pad and len(a) == 1 else a @ b
+
+
+def _distinct_probs(embedding, output_weights, sources, pad=False) -> tuple[np.ndarray, ...]:
     """(rows, inverse, probs): the distinct sources, each source's index into
     rows, and one softmax row per distinct source (Zipf sources repeat, so
     there are few). Float64 weights are used uncopied."""
     rows, inverse = np.unique(sources, return_inverse=True)
     w64 = output_weights.astype(np.float64, copy=False)
-    return rows, inverse, _softmax(embedding[rows].astype(np.float64) @ w64.T)
+    return rows, inverse, _softmax(_product(embedding[rows].astype(np.float64), w64.T, pad))
 
 
-def _grad(probs, rows, inverse, tgt, w64) -> tuple[np.ndarray, np.ndarray]:
-    """Mean cross-entropy gradient of a batch: (delta, grad).
+def _grad(probs, rows, inverse, tgt, w64, batch_size, pad=False) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy gradient of a batch's pairs: (delta, grad).
 
     delta is probs (one row per pair, overwritten) minus the one-hot targets
-    over the batch size; grad[k] is row rows[k]'s gradient, the pairs that
+    over batch_size; grad[k] is row rows[k]'s gradient, the pairs that
     inverse maps to k summed in batch order.
     """
     delta = probs
     delta[np.arange(tgt.size), tgt] -= 1.0
-    delta /= tgt.size
+    delta /= batch_size
     grad = np.zeros((rows.size, w64.shape[1]))
-    np.add.at(grad, inverse, delta @ w64)
+    np.add.at(grad, inverse, _product(delta, w64, pad))
     return delta, grad
 
 
@@ -216,32 +221,44 @@ def train(
     frozen_complement mode), or every row in full and embed mode. A step
     writes only the trainable rows its batch reads, so every other row stays
     bit-identical to the input model. Output weights update only in full mode.
+    So a frozen-source pair is scored once per run, and a step computes its live
+    pairs alone. A 1-row product arises only where a step over all pairs has one
+    (one distinct source, all pairs then live, or one pair), keeping its bits.
     """
     _check_vocab(model, task)
     if config.tickets is not None and config.tickets.vocab_size != model.vocab_size:
-        raise ValueError("ticket vocab_size does not match model")
+        raise ValueError(f"ticket vocab_size {config.tickets.vocab_size} "
+                         f"does not match model vocab {model.vocab_size}")
 
-    emb = model.embedding.copy()
-    out = model.output_weights.copy()
-    w64 = out.astype(np.float64)
     trainable = np.ones(model.vocab_size, dtype=bool)
     if config.mode in ("partial", "frozen_complement"):
         trainable = emit_mask(config.tickets, config.mode == "frozen_complement")
-    lr = config.learning_rate
-
-    rng = np.random.default_rng(config.seed)
     n = task.n_pairs
+    emb, out = model.embedding, model.output_weights
+    fixed = np.ones(n)  # each frozen pair's target probability
+    frozen = ~trainable[task.sources]
+    _, inverse, probs = _distinct_probs(emb, out, task.sources[frozen], pad=True)
+    fixed[frozen] = probs[inverse, task.targets[frozen]]
+    del probs  # freed before the copies: the table can be the run's largest matrix
+
+    emb, out = emb.copy(), out.copy()
+    w64 = out.astype(np.float64)
+    lr = config.learning_rate
+    rng = np.random.default_rng(config.seed)
     losses: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            src = task.sources[batch]
-            tgt = task.targets[batch]
-            rows, inverse, probs = _distinct_probs(emb, w64, src)
-            epoch_loss += float(-np.log(probs[inverse, tgt]).sum())
-            delta, grad = _grad(probs[inverse], rows, inverse, tgt, w64)
+            src, tgt = task.sources[batch], task.targets[batch]
+            live = trainable[src] | (src == src[0]).all()  # one distinct source: all live, 1 row
+            pad = not live.all()  # products over part of the batch pad a 1-row product
+            rows, inverse, probs = _distinct_probs(emb, w64, src[live], pad)
+            p = fixed[batch]
+            p[live] = probs[inverse, tgt[live]]
+            epoch_loss += float(-np.log(p).sum())
+            delta, grad = _grad(probs[inverse], rows, inverse, tgt[live], w64, src.size, pad)
             if config.mode == "full":
                 out = (w64 - lr * (delta.T @ emb[src].astype(np.float64))).astype(np.float32)
                 w64 = out.astype(np.float64)

@@ -13,7 +13,7 @@ from kstickets.checkpoint import Checkpoint, TensorRecord, read_checkpoint, writ
 from kstickets._text import fmt_float
 from kstickets import cli
 from kstickets.cli import _off_lattice, run
-from kstickets.selection import read_scores_csv, read_ticket_file
+from kstickets.selection import WinningTicketSet, read_scores_csv, read_ticket_file, write_ticket_file
 from kstickets.toytrain import (
     TrainConfig,
     generate_task,
@@ -562,6 +562,21 @@ def test_toy_train_on_a_header_only_task_exits_two(tmp_path, capsys):
     assert code == 2
     assert f"error: {task}: no pairs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["full", "embed", "partial", "frozen_complement"])
+def test_toy_train_tickets_of_another_vocab_name_the_file(tmp_path, capsys, mode):
+    ckpt, task, tickets = tmp_path / "model.ckpt", tmp_path / "task.csv", tmp_path / "t.txt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 16, 4)), ckpt)
+    write_task_csv(generate_task(1, 16, 20), task)
+    write_ticket_file(WinningTicketSet(method="ks", vocab_size=32, token_ids=(3, 20)), tickets)
+    out, loss = tmp_path / "out.ckpt", tmp_path / "loss.csv"
+    code = run(["toy", "train", "--model", str(ckpt), "--task", str(task), "--mode", mode,
+                "--tickets", str(tickets), "--out", str(out), "--loss-out", str(loss)])
+    assert code == 2
+    err = f"error: {tickets}: ticket vocab_size 32 does not match model vocab 16\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists() and not loss.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

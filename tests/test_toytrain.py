@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstickets import toytrain
 from kstickets.selection import WinningTicketSet
 from kstickets.toytrain import (
     EXAMPLE_GROUP,
@@ -26,6 +27,7 @@ from kstickets.toytrain import (
     train,
     write_task_csv,
 )
+from kstickets.transfer import emit_mask
 from oracles import forward
 
 
@@ -232,6 +234,12 @@ class TestTrain:
         model = init_model(0, 16, 8)
         with pytest.raises(ValueError, match="vocab"):
             train(model, task, TrainConfig(mode="embed", epochs=1))
+
+    def test_ticket_vocab_mismatch_names_both_sizes(self):
+        task, model = small_setup(v=16)
+        tickets = WinningTicketSet(method="ks", vocab_size=32, token_ids=(3,))
+        with pytest.raises(ValueError, match="^ticket vocab_size 32 does not match model vocab 16$"):
+            train(model, task, TrainConfig(mode="full", tickets=tickets, epochs=1))
 
 
 class TestEvaluate:
@@ -518,6 +526,167 @@ def test_train_matches_dense_oracle_on_edge_ticket_sets(mode, covered):
     assert (tuned.embedding.tobytes() != model.embedding.tobytes()) == trained
 
 
+PIPELINE_V, PIPELINE_D = 8192, 64
+
+
+def tickets_training(mode, ids, v=PIPELINE_V):
+    """The ticket set under which exactly the rows ids are trainable in mode."""
+    ids = set(ids) if mode == "partial" else set(range(v)) - set(ids)
+    return WinningTicketSet(method="ks", vocab_size=v, token_ids=tuple(sorted(ids)))
+
+
+def one_batch_task(sources, v=PIPELINE_V):
+    sources = np.asarray(sources)
+    return SyntheticTask(vocab_size=v, sources=sources, targets=(sources * 31 + 7) % v)
+
+
+def pipeline_model(scale=1):
+    model = init_model(3, PIPELINE_V, PIPELINE_D)
+    return ToyModel(model.embedding * scale, model.output_weights * scale)
+
+
+# one batch of 32 pairs at the pipeline's V and d: (sources, trainable rows)
+LIVE_CASES = {
+    "one-frozen-source": ([5] * 32, [9]),
+    "one-trainable-source": ([5] * 32, [5]),
+    "one-live-pair": ([5] + list(range(100, 3200, 100)), [5]),
+    "no-live-pair": (list(range(100, 3300, 100)), [9]),
+}
+
+# A batch of one distinct source is 1 row to train, which scores distinct
+# sources, and 32 rows to the dense oracle, which scores pairs. With OpenBLAS
+# 0.3.31 on 2 vCPUs those round apart at weights x5 and the second epoch's
+# loss differs; frozen pairs scored once play no part in it
+ONE_ROW_APART = pytest.mark.xfail(reason="1-row forward of a one-source batch", strict=False)
+
+
+@pytest.mark.parametrize("scale", [1, 5], ids=["x1", "x5"])
+@pytest.mark.parametrize("case", LIVE_CASES)
+@pytest.mark.parametrize("mode", ["partial", "frozen_complement"])
+def test_train_matches_dense_oracle_on_live_pair_edges(mode, case, scale, request):
+    # a batch whose live pairs (trainable sources) are all, one or none of
+    # its 32: train scores the frozen pairs once and computes the live alone
+    if case == "one-trainable-source" and scale == 5:
+        request.applymarker(ONE_ROW_APART)
+    sources, live = LIVE_CASES[case]
+    config = TrainConfig(mode=mode, tickets=tickets_training(mode, live), learning_rate=0.5,
+                         epochs=3, seed=3)
+    assert_same_training(pipeline_model(scale), one_batch_task(sources), config)
+
+
+def recording(seen, name, real, index):
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.setdefault(name, []).append(result[index].copy())
+        return result
+    return wrapper
+
+
+def train_recording_step(monkeypatch, model, task, live):
+    """Each float64 probability and gradient array of a one-epoch train, in call order."""
+    seen = {}
+    monkeypatch.setattr(toytrain, "_distinct_probs",
+                        recording(seen, "probs", toytrain._distinct_probs, 2))
+    monkeypatch.setattr(toytrain, "_grad", recording(seen, "grad", toytrain._grad, 1))
+    train(model, task, TrainConfig(mode="partial", tickets=tickets_training("partial", live),
+                                   epochs=1, batch_size=task.n_pairs))
+    return seen
+
+
+@pytest.mark.parametrize("batch_size", [2, 32])
+def test_one_live_pair_keeps_the_float64_rows_of_the_step_over_every_pair(monkeypatch, batch_size):
+    # The end outputs rarely show a 1-row product's rounding: the float32
+    # update and the loss sums absorb it. So compare the live pair's float64
+    # probability and gradient rows with those of the products over the
+    # batch's distinct sources (forward) and every pair (backward).
+    live = 5
+    task = one_batch_task([live] + list(range(100, 100 * batch_size, 100)))
+    model = pipeline_model()
+    e64 = model.embedding.astype(np.float64)
+    w64 = model.output_weights.astype(np.float64)
+    rows, inverse = np.unique(task.sources, return_inverse=True)
+    k = int(np.searchsorted(rows, live))
+    probs = _softmax(e64[rows] @ w64.T)
+    delta = probs[inverse]
+    delta[np.arange(batch_size), task.targets] -= 1.0
+    delta /= batch_size
+    backward = delta @ w64
+    want_grad = np.zeros((1, PIPELINE_D))
+    np.add.at(want_grad, [0], backward[:1])
+    # the premise: alone, the live row's products round differently here
+    assert _softmax(e64[[live]] @ w64.T).tobytes() != probs[k].tobytes()
+    assert (delta[:1] @ w64).tobytes() != backward[0].tobytes()
+
+    seen = train_recording_step(monkeypatch, model, task, [live])
+    assert seen["probs"][-1].tobytes() == probs[k].tobytes()
+    assert seen["grad"][-1].tobytes() == want_grad.tobytes()
+
+
+def test_one_frozen_source_is_scored_as_a_row_of_a_larger_product(monkeypatch):
+    # the frozen table has one row here: padded, it gives the frozen pair the
+    # probability the product over the batch's distinct sources gives it
+    task = one_batch_task([9] + list(range(100, 3200, 100)))
+    model = pipeline_model()
+    e64 = model.embedding.astype(np.float64)
+    w64 = model.output_weights.astype(np.float64)
+    rows = np.unique(task.sources)
+    probs = _softmax(e64[rows] @ w64.T)
+    assert _softmax(e64[[9]] @ w64.T).tobytes() != probs[0].tobytes()  # the premise
+    seen = train_recording_step(monkeypatch, model, task, rows[1:])
+    assert seen["probs"][0].tobytes() == probs[0].tobytes()
+
+
+@pytest.mark.parametrize("live", [[5], [9]], ids=["trainable", "frozen"])
+def test_one_source_batch_keeps_its_1_row_product(monkeypatch, live):
+    # a batch of one distinct source is one row in the step over every pair
+    # too: it stays unpadded, frozen or not, and its loss is not the table's
+    task = one_batch_task([5] * 32)
+    model = pipeline_model()
+    e64 = model.embedding.astype(np.float64)
+    w64 = model.output_weights.astype(np.float64)
+    one_row = _softmax(e64[[5]] @ w64.T)
+    padded = _softmax(np.repeat(e64[[5]], 2, axis=0) @ w64.T)[:1]
+    assert padded.tobytes() != one_row.tobytes()  # the premise
+    seen = train_recording_step(monkeypatch, model, task, live)
+    assert seen["probs"][-1].tobytes() == one_row.tobytes()
+
+
+@pytest.mark.parametrize("mode", TRAIN_MODES)
+def test_train_softmaxes_the_frozen_rows_once_and_each_steps_live_rows(monkeypatch, mode):
+    # outside full and embed mode a step skips its frozen sources: the rows
+    # through _softmax are the frozen table's plus each step's live distinct
+    # rows (every row of a batch with one distinct source)
+    v, seed, batch_size = 512, 7, 32
+    task, model = generate_task(seed, v, 600, 1.8), init_model(seed, v, 16)
+    config = TrainConfig(mode=mode, tickets=oracle_tickets(seed, v), epochs=2, seed=seed)
+    counted = []
+
+    def counting(logits):
+        counted.append(len(logits))
+        return _softmax(logits)
+
+    monkeypatch.setattr(toytrain, "_softmax", counting)
+    train(model, task, config)
+
+    trainable = np.ones(v, dtype=bool)
+    if mode in ("partial", "frozen_complement"):
+        trainable = emit_mask(config.tickets, mode == "frozen_complement")
+    want = np.unique(task.sources[~trainable[task.sources]]).size
+    dense = 0
+    rng = np.random.default_rng(seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(task.n_pairs)
+        for start in range(0, task.n_pairs, batch_size):
+            distinct = np.unique(task.sources[order[start : start + batch_size]])
+            dense += distinct.size
+            want += distinct.size if distinct.size == 1 else int(trainable[distinct].sum())
+    assert sum(counted) == want
+    if mode in ("full", "embed"):
+        assert want == dense
+    else:
+        assert want < dense
+
+
 def grad_check(model, task, epsilon=1e-4):
     """Max relative error between analytic and central-difference gradients.
 
@@ -535,7 +704,7 @@ def grad_check(model, task, epsilon=1e-4):
     emb64 = model.embedding.astype(np.float64)
     d = emb64.shape[1]
     rows, inverse = np.unique(src, return_inverse=True)
-    _, grad = _grad(_softmax(emb64[src] @ w64.T), rows, inverse, tgt, w64)
+    _, grad = _grad(_softmax(emb64[src] @ w64.T), rows, inverse, tgt, w64, b)
 
     def loss_at(e):
         p = _softmax(e[src] @ w64.T)
