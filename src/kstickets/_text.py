@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable
 
@@ -104,6 +104,18 @@ class Column:
 
 INT, FLOAT = Column(np.int64), Column(np.float64)
 OPTIONAL_INT, OPTIONAL_FLOAT = Column(np.int64, optional=True), Column(np.float64, optional=True)
+
+
+def cast_columns(table, floats) -> None:
+    """Cast each field of dataclass table that is not None to a float64 (if
+    named in floats) or int64 column as long as the first; frozen ones too."""
+    n = np.size(getattr(table, fields(table)[0].name))
+    for f in fields(table):
+        if (col := getattr(table, f.name)) is not None:
+            col = np.asarray(col, dtype=np.float64 if f.name in floats else np.int64)
+            if col.shape != (n,):
+                raise ValueError(f"column {f.name} has shape {col.shape}, expected ({n},)")
+            object.__setattr__(table, f.name, col)
 
 
 def blank_cells(column, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from ._text import (
     OPTIONAL_FLOAT,
     OPTIONAL_INT,
     blank_cells,
+    cast_columns,
     fmt_float,
     read_csv,
     write_csv,
@@ -72,13 +73,7 @@ class PredictionLog:
     base_p2: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n = np.size(self.example_id)
-        for f in fields(self):
-            if (col := getattr(self, f.name)) is not None:
-                col = np.asarray(col, dtype=np.float64 if f.name in _FLOAT_COLUMNS else np.int64)
-                if col.shape != (n,):
-                    raise ValueError(f"column {f.name} has shape {col.shape}, expected ({n},)")
-                object.__setattr__(self, f.name, col)
+        cast_columns(self, _FLOAT_COLUMNS)
         if (self.base_p1 is None) != (self.base_p2 is None):
             raise ValueError("base_p1 and base_p2 must be given together")
         pairs = [("p1", "p2"), ("base_p1", "base_p2")][: 1 + (self.base_p1 is not None)]

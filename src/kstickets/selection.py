@@ -19,6 +19,7 @@ from ._text import (
     INT,
     OPTIONAL_INT,
     blank_cells,
+    cast_columns,
     parse_optional,
     read_csv,
     write_csv,
@@ -100,14 +101,8 @@ class ScoreTable:
     frequency: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        v = np.size(self.token_id)
-        for f in fields(self):
-            if (col := getattr(self, f.name)) is not None:
-                col = np.asarray(col, dtype=np.float64 if f.name in METRICS else np.int64)
-                if col.shape != (v,):
-                    raise ValueError(f"column {f.name} has shape {col.shape}, expected ({v},)")
-                setattr(self, f.name, col)
-        if not np.array_equal(np.sort(self.token_id), np.arange(v)):
+        cast_columns(self, METRICS)
+        if not np.array_equal(np.sort(self.token_id), np.arange(len(self))):
             raise ValueError("scores must cover token ids 0..V-1 exactly once")
 
     def __len__(self) -> int:

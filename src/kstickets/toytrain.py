@@ -192,19 +192,18 @@ def _distinct_probs(embedding, output_weights, sources, pad=False) -> tuple[np.n
     return rows, inverse, _softmax(_product(embedding[rows].astype(np.float64), w64.T, pad))
 
 
-def _grad(probs, rows, inverse, tgt, w64, batch_size, pad=False) -> tuple[np.ndarray, np.ndarray]:
+def _grad(probs, inverse, tgt, w64, batch_size, pad=False) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy gradient of a batch's pairs: (delta, grad).
 
-    delta is probs (one row per pair, overwritten) minus the one-hot targets
-    over batch_size; grad[k] is row rows[k]'s gradient, the pairs that
-    inverse maps to k summed in batch order.
+    delta has one row per distinct source: its softmax row (overwritten) times
+    its pair count, minus the pairs' one-hot targets in batch order, over
+    batch_size. grad is delta @ w64, the source's pairs' gradients summed.
     """
     delta = probs
-    delta[np.arange(tgt.size), tgt] -= 1.0
+    delta *= np.bincount(inverse)[:, None]
+    np.add.at(delta, (inverse, tgt), -1.0)
     delta /= batch_size
-    grad = np.zeros((rows.size, w64.shape[1]))
-    np.add.at(grad, inverse, _product(delta, w64, pad))
-    return delta, grad
+    return delta, _product(delta, w64, pad)
 
 
 def _check_vocab(model: ToyModel, task: SyntheticTask) -> None:
@@ -222,8 +221,9 @@ def train(
     writes only the trainable rows its batch reads, so every other row stays
     bit-identical to the input model. Output weights update only in full mode.
     So a frozen-source pair is scored once per run, and a step computes its live
-    pairs alone. A 1-row product arises only where a step over all pairs has one
-    (one distinct source, all pairs then live, or one pair), keeping its bits.
+    pairs alone, forward and backward once per distinct source. A product has
+    one row only where the batch has one pair (then live), as in a step over
+    every pair; any other 1-row product is padded to keep those bits.
     """
     _check_vocab(model, task)
     if config.tickets is not None and config.tickets.vocab_size != model.vocab_size:
@@ -252,15 +252,15 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             src, tgt = task.sources[batch], task.targets[batch]
-            live = trainable[src] | (src == src[0]).all()  # one distinct source: all live, 1 row
-            pad = not live.all()  # products over part of the batch pad a 1-row product
+            pad = src.size > 1  # a product has one row only where the batch has one pair
+            live = trainable[src] | (src.size == 1)
             rows, inverse, probs = _distinct_probs(emb, w64, src[live], pad)
             p = fixed[batch]
             p[live] = probs[inverse, tgt[live]]
             epoch_loss += float(-np.log(p).sum())
-            delta, grad = _grad(probs[inverse], rows, inverse, tgt[live], w64, src.size, pad)
+            delta, grad = _grad(probs, inverse, tgt[live], w64, src.size, pad)
             if config.mode == "full":
-                out = (w64 - lr * (delta.T @ emb[src].astype(np.float64))).astype(np.float32)
+                out = (w64 - lr * (delta.T @ emb[rows].astype(np.float64))).astype(np.float32)
                 w64 = out.astype(np.float64)
             keep = trainable[rows]
             rows = rows[keep]

@@ -345,3 +345,19 @@ def test_reader_peak_memory(tmp_path):
             tracemalloc.stop()
         columns = sum(c.nbytes for c in vars(table).values() if c is not None)
         assert peak <= 3 * (path.stat().st_size + columns), name
+
+
+def test_tables_cast_their_columns_and_name_a_bad_shape():
+    # one cast serves the mutable ScoreTable and the frozen PredictionLog
+    scores = ScoreTable([1, 0], *[[0, 1]] * 7, frequency=[3, 4])
+    assert scores.token_id.dtype == scores.frequency.dtype == np.int64
+    assert scores.ks_statistic.dtype == scores.kl.dtype == np.float64
+    log = PredictionLog([0, 0], [0, 1], [1, 2], [1, 2], [1, 1], [0, 0])
+    assert log.example_id.dtype == log.tuned_prediction.dtype == np.int64
+    assert log.p1.dtype == log.p2.dtype == np.float64 and log.base_p1 is None
+    with pytest.raises(ValueError) as err:
+        ScoreTable([1, 0], *[[0, 1]] * 7, frequency=[3])
+    assert str(err.value) == "column frequency has shape (1,), expected (2,)"
+    with pytest.raises(ValueError) as err:
+        PredictionLog([0, 0], [0, 1], [1, 2], [1, 2], [1, 1], [[0], [0]])
+    assert str(err.value) == "column p2 has shape (2, 1), expected (2,)"

@@ -14,6 +14,7 @@ from kstickets.toytrain import (
     SyntheticTask,
     ToyModel,
     TrainConfig,
+    _distinct_probs,
     _grad,
     _softmax,
     _top2,
@@ -502,6 +503,19 @@ def test_train_matches_dense_oracle_at_pipeline_sizes(mode, v):
         assert_same_training(model, task, config)
 
 
+@pytest.mark.parametrize("scale", [1, 5], ids=["x1", "x5"])
+@pytest.mark.parametrize("mode", ["embed", "full", "partial"])
+def test_train_matches_dense_oracle_on_one_pair_batches(mode, scale):
+    # batch_size=1 at the pipeline's V and d: the dense step's products are
+    # 1-row products, which round apart from a row of a larger one
+    for seed in (1, 2):
+        task, model = generate_task(seed, 8192, 500, 1.8), init_model(seed, 8192, 64)
+        model = ToyModel(model.embedding * scale, model.output_weights * scale)
+        config = TrainConfig(mode=mode, tickets=oracle_tickets(seed, 8192), epochs=1,
+                             seed=seed, batch_size=1)
+        assert_same_training(model, task, config)
+
+
 @pytest.mark.parametrize("mode", ["full", "embed", "partial", "frozen_complement"])
 def test_train_matches_dense_oracle_on_repeated_sources(mode):
     # every batch reads row 3 several times, so its gradient sums many terms
@@ -553,21 +567,12 @@ LIVE_CASES = {
     "no-live-pair": (list(range(100, 3300, 100)), [9]),
 }
 
-# A batch of one distinct source is 1 row to train, which scores distinct
-# sources, and 32 rows to the dense oracle, which scores pairs. With OpenBLAS
-# 0.3.31 on 2 vCPUs those round apart at weights x5 and the second epoch's
-# loss differs; frozen pairs scored once play no part in it
-ONE_ROW_APART = pytest.mark.xfail(reason="1-row forward of a one-source batch", strict=False)
-
-
 @pytest.mark.parametrize("scale", [1, 5], ids=["x1", "x5"])
 @pytest.mark.parametrize("case", LIVE_CASES)
 @pytest.mark.parametrize("mode", ["partial", "frozen_complement"])
-def test_train_matches_dense_oracle_on_live_pair_edges(mode, case, scale, request):
+def test_train_matches_dense_oracle_on_live_pair_edges(mode, case, scale):
     # a batch whose live pairs (trainable sources) are all, one or none of
     # its 32: train scores the frozen pairs once and computes the live alone
-    if case == "one-trainable-source" and scale == 5:
-        request.applymarker(ONE_ROW_APART)
     sources, live = LIVE_CASES[case]
     config = TrainConfig(mode=mode, tickets=tickets_training(mode, live), learning_rate=0.5,
                          epochs=3, seed=3)
@@ -637,27 +642,54 @@ def test_one_frozen_source_is_scored_as_a_row_of_a_larger_product(monkeypatch):
 
 
 @pytest.mark.parametrize("live", [[5], [9]], ids=["trainable", "frozen"])
-def test_one_source_batch_keeps_its_1_row_product(monkeypatch, live):
-    # a batch of one distinct source is one row in the step over every pair
-    # too: it stays unpadded, frozen or not, and its loss is not the table's
+def test_one_source_batch_is_scored_as_a_row_of_a_larger_product(monkeypatch, live):
+    # 32 pairs of one distinct source are 32 rows in the step over every
+    # pair: the one softmax row train computes, the step's if the source is
+    # trainable or the frozen table's if not, is padded to give their bits
     task = one_batch_task([5] * 32)
     model = pipeline_model()
     e64 = model.embedding.astype(np.float64)
     w64 = model.output_weights.astype(np.float64)
-    one_row = _softmax(e64[[5]] @ w64.T)
-    padded = _softmax(np.repeat(e64[[5]], 2, axis=0) @ w64.T)[:1]
-    assert padded.tobytes() != one_row.tobytes()  # the premise
+    dense = _softmax(e64[task.sources] @ w64.T)[:1]
+    assert _softmax(e64[[5]] @ w64.T).tobytes() != dense.tobytes()  # the premise
     seen = train_recording_step(monkeypatch, model, task, live)
+    assert [p.tobytes() for p in seen["probs"] if len(p)] == [dense.tobytes()]
+
+
+@pytest.mark.parametrize("live", [[5], [9]], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("n_pairs, batch_size", [(1, 1), (33, 32)], ids=["batch-size-1", "final-batch"])
+def test_one_pair_batch_keeps_its_1_row_product(monkeypatch, n_pairs, batch_size, live):
+    # a batch of one pair is one row in the step over every pair too: it is
+    # computed unpadded, frozen source or not, and its loss is not the table's
+    task = one_batch_task([5] * n_pairs)
+    model = pipeline_model()
+    config = TrainConfig(mode="partial", tickets=tickets_training("partial", live),
+                         epochs=1, batch_size=batch_size)
+    # row 5 as the one-pair batch reads it: after the 32-pair step, if any,
+    # which is the same step in any pair order, as every pair is the same
+    stepped = model
+    if n_pairs > batch_size:
+        stepped, _ = train(model, one_batch_task([5] * batch_size), config)
+    e64 = stepped.embedding[[5]].astype(np.float64)
+    w64 = model.output_weights.astype(np.float64)
+    one_row = _softmax(e64 @ w64.T)
+    padded = _softmax(np.repeat(e64, 2, axis=0) @ w64.T)[:1]
+    assert padded.tobytes() != one_row.tobytes()  # the premise
+    seen = {}
+    monkeypatch.setattr(toytrain, "_distinct_probs",
+                        recording(seen, "probs", toytrain._distinct_probs, 2))
+    train(model, task, config)
     assert seen["probs"][-1].tobytes() == one_row.tobytes()
+    assert_same_training(model, task, config)
 
 
 @pytest.mark.parametrize("mode", TRAIN_MODES)
 def test_train_softmaxes_the_frozen_rows_once_and_each_steps_live_rows(monkeypatch, mode):
     # outside full and embed mode a step skips its frozen sources: the rows
     # through _softmax are the frozen table's plus each step's live distinct
-    # rows (every row of a batch with one distinct source)
+    # rows (the row of a one-pair batch, here the last of each epoch)
     v, seed, batch_size = 512, 7, 32
-    task, model = generate_task(seed, v, 600, 1.8), init_model(seed, v, 16)
+    task, model = generate_task(seed, v, 19 * batch_size + 1, 1.8), init_model(seed, v, 16)
     config = TrainConfig(mode=mode, tickets=oracle_tickets(seed, v), epochs=2, seed=seed)
     counted = []
 
@@ -677,9 +709,10 @@ def test_train_softmaxes_the_frozen_rows_once_and_each_steps_live_rows(monkeypat
     for _ in range(config.epochs):
         order = rng.permutation(task.n_pairs)
         for start in range(0, task.n_pairs, batch_size):
-            distinct = np.unique(task.sources[order[start : start + batch_size]])
+            batch = order[start : start + batch_size]
+            distinct = np.unique(task.sources[batch])
             dense += distinct.size
-            want += distinct.size if distinct.size == 1 else int(trainable[distinct].sum())
+            want += distinct.size if batch.size == 1 else int(trainable[distinct].sum())
     assert sum(counted) == want
     if mode in ("full", "embed"):
         assert want == dense
@@ -703,8 +736,8 @@ def grad_check(model, task, epsilon=1e-4):
     w64 = model.output_weights.astype(np.float64)
     emb64 = model.embedding.astype(np.float64)
     d = emb64.shape[1]
-    rows, inverse = np.unique(src, return_inverse=True)
-    _, grad = _grad(_softmax(emb64[src] @ w64.T), rows, inverse, tgt, w64, b)
+    rows, inverse, probs = _distinct_probs(emb64, w64, src, pad=b > 1)
+    _, grad = _grad(probs, inverse, tgt, w64, b, pad=b > 1)
 
     def loss_at(e):
         p = _softmax(e[src] @ w64.T)
@@ -733,20 +766,30 @@ def grad_check(model, task, epsilon=1e-4):
 
 
 def grad_check_oracle(model, task, epsilon=1e-4):
-    """grad_check with its own dense gradient and a fresh copy per probe: its oracle."""
+    """grad_check with its own gradient and a fresh copy per probe: its oracle.
+
+    The gradient has train's distinct-row form: one row per source the batch
+    reads, its softmax row times its pair count, minus one at each pair's
+    target in batch order, over the batch size. A product has one row only
+    where the batch has one pair, as in train.
+    """
     b = min(32, task.n_pairs)
     src = task.sources[:b]
     tgt = task.targets[:b]
     w64 = model.output_weights.astype(np.float64)
     emb64 = model.embedding.astype(np.float64)
-    v, d = emb64.shape
-    probs = _softmax_oracle(emb64[src] @ w64.T)
-    delta = probs
-    delta[np.arange(b), tgt] -= 1.0
-    delta /= b
-    analytic = np.zeros((v, d))
-    np.add.at(analytic, src, delta @ w64)
+    d = emb64.shape[1]
     read = np.unique(src)
+
+    def product(a, m):
+        return (np.vstack([a, a]) @ m)[:1] if len(a) == 1 and b > 1 else a @ m
+
+    probs = _softmax_oracle(product(emb64[read], w64.T))
+    delta = probs * np.array([(src == r).sum() for r in read])[:, None]
+    for s, t in zip(src, tgt):
+        delta[np.searchsorted(read, s), t] -= 1.0
+    delta /= b
+    analytic = product(delta, w64)
 
     def loss_at(e):
         p = _softmax_oracle(e[src] @ w64.T)
@@ -759,14 +802,15 @@ def grad_check_oracle(model, task, epsilon=1e-4):
         flat_indices = np.linspace(0, total - 1, 512).astype(np.int64)
     worst = 0.0
     for flat in flat_indices:
-        i, j = read[flat // d], flat % d
+        k, j = flat // d, flat % d
+        i = read[k]
         e = emb64.copy()
         e[i, j] += epsilon
         lp = loss_at(e)
         e[i, j] -= 2.0 * epsilon
         lm = loss_at(e)
         fd = (lp - lm) / (2.0 * epsilon)
-        ga = analytic[i, j]
+        ga = analytic[k, j]
         err = abs(ga - fd) / max(1e-8, abs(ga) + abs(fd))
         worst = max(worst, err)
     return worst
@@ -777,15 +821,37 @@ ZERO_FD_TASK = SyntheticTask(
 )
 
 
-@pytest.mark.parametrize("setup", [
+GRAD_SETUPS = pytest.mark.parametrize("setup", [
     lambda: small_setup(v=16, d=8, n_pairs=64),  # 7 read rows, 56 entries
     lambda: (ZERO_FD_TASK, init_model(3, 16, 8)),  # one source row
     lambda: small_setup(seed=4, v=300, d=12, n_pairs=100),  # 24 read rows, 288 of 3600 entries
     lambda: small_setup(seed=4, v=300, d=32, n_pairs=100),  # 512 strided of 768 read entries
 ], ids=["swept", "one-row", "every-read-entry", "strided"])
+
+
+@GRAD_SETUPS
 def test_grad_check_matches_oracle(setup):
     task, model = setup()
     assert grad_check(model, task) == grad_check_oracle(model, task)
+
+
+@GRAD_SETUPS
+def test_grad_matches_the_dense_per_pair_gradient(setup):
+    # _grad sums a source's pairs before its backward product, the dense step
+    # after it: the two round apart only in float64's last bits
+    task, model = setup()
+    b = min(32, task.n_pairs)
+    src, tgt = task.sources[:b], task.targets[:b]
+    w64 = model.output_weights.astype(np.float64)
+    delta = _softmax_oracle(model.embedding[src].astype(np.float64) @ w64.T)
+    delta[np.arange(b), tgt] -= 1.0
+    delta /= b
+    dense = np.zeros(model.embedding.shape)
+    np.add.at(dense, src, delta @ w64)
+    rows, inverse, probs = _distinct_probs(model.embedding, w64, src, pad=b > 1)
+    _, grad = _grad(probs, inverse, tgt, w64, b, pad=b > 1)
+    want = dense[rows]
+    assert np.abs(grad - want).max() <= b * np.finfo(np.float64).eps * np.abs(want).max()
 
 
 class TestGradCheck:
