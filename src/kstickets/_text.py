@@ -1,5 +1,5 @@
 """How the toolkit opens, checks and replaces its files: writes are atomic,
-and a bad CSV row is reported as ``path: bad <what> row at line N: reason``."""
+and every fault of an input file is reported as ``path: reason`` by naming."""
 
 from __future__ import annotations
 
@@ -22,6 +22,16 @@ def parse_optional(text: str, parse=int):
     """None for a blank cell, else parse(text)."""
     text = text.strip()
     return None if text == "" else parse(text)
+
+
+@contextmanager
+def naming(path):
+    """Re-raise a ValueError or OverflowError as ``path: reason``, of the same class."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        cls = ValueError if isinstance(exc, UnicodeError) else type(exc)  # UnicodeDecodeError needs 5 args
+        raise cls(f"{path}: {exc}") from exc
 
 
 @contextmanager
@@ -134,18 +144,19 @@ def read_csv(path, header: str, parsers, what: str) -> list:
     numpy's C parser reads the body first; its numpy columns are returned where
     they are sure to equal Python's parse (see _c_columns), and an optional
     column blank on every row is None. Otherwise the columns are lists from
-    _python_columns, whose ValueError names path and the line of the first bad row.
+    _python_columns, whose ValueError names the line of the first bad row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
-        raise ValueError(f"{path}: not a {what} file (bad header)")
-    rows = lines[1:]
-    ncells = header.count(",") + 1
-    # numpy reads a text cell that starts with NUL as "", which Python's parse refuses
-    return (("\0" not in text and _c_columns(rows, parsers, ncells))
-            or _python_columns(path, rows, parsers, what, ncells))
+    with naming(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        if not lines or lines[0] != header:
+            raise ValueError(f"not a {what} file (bad header)")
+        rows = lines[1:]
+        ncells = header.count(",") + 1
+        # numpy reads a text cell that starts with NUL as "", which Python's parse refuses
+        return (("\0" not in text and _c_columns(rows, parsers, ncells))
+                or _python_columns(rows, parsers, what, ncells))
 
 
 def _c_columns(rows: list[str], parsers, ncells: int) -> list | None:
@@ -173,7 +184,7 @@ def _c_columns(rows: list[str], parsers, ncells: int) -> list | None:
     return [None if skip else values for skip, values in zip(blank, columns)]
 
 
-def _python_columns(path, rows: list[str], parsers, what: str, ncells: int) -> list[list]:
+def _python_columns(rows: list[str], parsers, what: str, ncells: int) -> list[list]:
     """Python's parse of rows, one list per column, row by row: the reference
     answer, and the only source of the error text of a bad row."""
     columns = [[] for _ in parsers]
@@ -185,5 +196,5 @@ def _python_columns(path, rows: list[str], parsers, what: str, ncells: int) -> l
             for column, parse, cell in zip(columns, parsers, cells):
                 column.append(parse(cell))
         except ValueError as exc:
-            raise ValueError(f"{path}: bad {what} row at line {lineno}: {exc}") from exc
+            raise ValueError(f"bad {what} row at line {lineno}: {exc}") from exc
     return columns

@@ -22,6 +22,7 @@ from ._text import (
     blank_cells,
     cast_columns,
     fmt_float,
+    naming,
     read_csv,
     write_csv,
     write_text,
@@ -175,12 +176,13 @@ def read_prediction_log(path) -> PredictionLog:
     columns = read_csv(path, LOG_HEADER, parsers, "log")
     blank = [blank_cells(c, len(columns[0])) for c in columns[6:]]
     half = np.flatnonzero(blank[1] != blank[2])
-    try:
-        if half.size:
-            raise _BadRecord(int(half[0]), "base_p1 and base_p2 must be given together")
-        return PredictionLog(*columns[:6], *(None if b.any() else c for b, c in zip(blank, columns[6:])))
-    except _BadRecord as exc:
-        raise ValueError(f"{path}: bad log row at line {exc.index + 2}: {exc.reason}") from exc
+    with naming(path):
+        try:
+            if half.size:
+                raise _BadRecord(int(half[0]), "base_p1 and base_p2 must be given together")
+            return PredictionLog(*columns[:6], *(None if b.any() else c for b, c in zip(blank, columns[6:])))
+        except _BadRecord as exc:
+            raise ValueError(f"bad log row at line {exc.index + 2}: {exc.reason}") from exc
 
 
 def render_report(report: CertificationReport) -> str:

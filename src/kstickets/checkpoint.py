@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._text import atomic_open
+from ._text import atomic_open, naming
 
 __all__ = [
     "CheckpointError",
@@ -142,51 +142,43 @@ def read_checkpoint(path) -> Checkpoint:
             rest = _read_rest(fh, header_len)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(head) < 12 or head[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint")
-    (version,) = struct.unpack("<I", head[4:8])
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    if len(rest) < header_len:
-        raise CheckpointError(f"{path}: corrupt checkpoint (truncated header)")
-    try:
-        header = str(rest[:header_len], "utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint (bad header)") from exc
-    payload = rest[header_len:]
-
-    tensors = []
-    end = 0  # payloads are contiguous in header order and fill the file exactly
-    for line in header.splitlines():
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CheckpointError(f"{path}: corrupt checkpoint (bad header line)")
-        name, dims_s, off_s, len_s = parts
+    with naming(path):
+        if len(head) < 12 or head[:4] != MAGIC:
+            raise CheckpointError("not a checkpoint")
+        (version,) = struct.unpack("<I", head[4:8])
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported version {version}")
+        if len(rest) < header_len:
+            raise CheckpointError("corrupt checkpoint (truncated header)")
         try:
-            shape = tuple(int(d) for d in dims_s.split(","))
-            off, length = int(off_s), int(len_s)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: corrupt checkpoint (bad header line)") from exc
-        if off != end or length < 0 or off + length > len(payload):
-            raise CheckpointError(
-                f"{path}: corrupt checkpoint (tensor {name!r} payload at byte {off}, "
-                f"expected {end}, length {length} of {len(payload)})"
-            )
-        end = off + length
-        if length != 4 * math.prod(shape) or any(d <= 0 for d in shape):
-            raise CheckpointError(
-                f"{path}: corrupt checkpoint (tensor {name!r} length/shape mismatch)"
-            )
-        data = np.frombuffer(payload, dtype="<f4", count=length // 4, offset=off)
-        tensors.append((name, shape, data))
-    if end != len(payload):
-        raise CheckpointError(
-            f"{path}: corrupt checkpoint ({len(payload) - end} trailing payload bytes)"
-        )
-    try:  # the layout holds; a fault of the tensors themselves names the file too
+            header = str(rest[:header_len], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError("corrupt checkpoint (bad header)") from exc
+        payload = rest[header_len:]
+
+        tensors = []
+        end = 0  # payloads are contiguous in header order and fill the file exactly
+        for line in header.splitlines():
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise CheckpointError("corrupt checkpoint (bad header line)")
+            name, dims_s, off_s, len_s = parts
+            try:
+                shape = tuple(int(d) for d in dims_s.split(","))
+                off, length = int(off_s), int(len_s)
+            except ValueError as exc:
+                raise CheckpointError("corrupt checkpoint (bad header line)") from exc
+            if off != end or length < 0 or off + length > len(payload):
+                raise CheckpointError(f"corrupt checkpoint (tensor {name!r} payload at byte {off}, "
+                                      f"expected {end}, length {length} of {len(payload)})")
+            end = off + length
+            if length != 4 * math.prod(shape) or any(d <= 0 for d in shape):
+                raise CheckpointError(f"corrupt checkpoint (tensor {name!r} length/shape mismatch)")
+            data = np.frombuffer(payload, dtype="<f4", count=length // 4, offset=off)
+            tensors.append((name, shape, data))
+        if end != len(payload):
+            raise CheckpointError(f"corrupt checkpoint ({len(payload) - end} trailing payload bytes)")
         return Checkpoint([TensorRecord(*t) for t in tensors])
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def get_embedding(ckpt: Checkpoint, tensor_name: str) -> TensorRecord:

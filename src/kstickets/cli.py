@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._text import Column, fmt_float, read_csv, write_csv, write_text
+from ._text import Column, fmt_float, naming, read_csv, write_csv, write_text
 from .certify import (
     PROB_SOURCES,
     alpha_sweep,
@@ -81,8 +81,9 @@ def _read_counts_csv(path, vocab_size: int) -> np.ndarray:
     token_id = Column(np.int64, valid=lambda i: (0 <= i) & (i < vocab_size),
                       invalid=f"token id {{}} outside [0, {vocab_size})")
     count = Column(np.int64, valid=lambda c: c >= 0, invalid="negative count {}")
-    ids, values = (np.asarray(c, dtype=np.int64)
-                   for c in read_csv(path, COUNTS_HEADER, (token_id, count), "counts"))
+    columns = read_csv(path, COUNTS_HEADER, (token_id, count), "counts")
+    with naming(path):  # a count beyond int64
+        ids, values = (np.asarray(c, dtype=np.int64) for c in columns)
     last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
     counts = np.zeros(vocab_size, dtype=np.int64)
     counts[ids[last]] = values[last]
@@ -97,21 +98,29 @@ def _read_corpus(path) -> np.ndarray:
     sign, or blank text, as 0), or an id is int64's maximum (numpy clamps an
     overflow to it); then Python's split() and int() decide.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if "-" not in text and "+" not in text and not text.isspace():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                ids = np.fromstring(text, dtype=np.int64, sep=" ")
-            except (ValueError, OverflowError, Warning):  # Python's parse decides
-                ids = None
-        if ids is not None and not (ids == np.iinfo(np.int64).max).any():
-            return ids
-    try:
-        return np.array(text.split(), dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"{path}: corpus must contain integer token ids") from exc
+    with naming(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if "-" not in text and "+" not in text and not text.isspace():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    ids = np.fromstring(text, dtype=np.int64, sep=" ")
+                except (ValueError, OverflowError, Warning):  # Python's parse decides
+                    ids = None
+            if ids is not None and not (ids == np.iinfo(np.int64).max).any():
+                return ids
+        try:
+            return np.array(text.split(), dtype=np.int64)
+        except ValueError as exc:
+            raise ValueError("corpus must contain integer token ids") from exc
+
+
+def _read_model(path):
+    """The toy model in the checkpoint at path; a missing tensor names the file."""
+    ckpt = read_checkpoint(path)
+    with naming(path):
+        return model_from_checkpoint(ckpt)
 
 
 def _off_lattice(statistic: np.ndarray, d: int) -> np.ndarray:
@@ -175,20 +184,16 @@ def _cmd_select(args) -> None:
     if args.alpha is not None:
         ks_tau(args.alpha, args.dim)
     scores = read_scores_csv(args.scores)
-    if args.alpha is not None:
-        tickets = select_by_alpha(scores, args.alpha, args.dim)
-        if (off := _off_lattice(scores.ks_statistic, args.dim)).size:
-            i = int(off[0])
-            raise ValueError(
-                f"{args.scores}: line {i + 2}: ks_statistic {fmt_float(scores.ks_statistic[i])} "
-                f"is not k/{args.dim} for any k in 0..{args.dim}: were these scores "
-                f"analyzed at another --dim?"
-            )
-    else:
-        try:
+    with naming(args.scores):
+        if args.alpha is not None:
+            tickets = select_by_alpha(scores, args.alpha, args.dim)
+            if (off := _off_lattice(scores.ks_statistic, args.dim)).size:
+                i = int(off[0])
+                raise ValueError(f"line {i + 2}: ks_statistic {fmt_float(scores.ks_statistic[i])} "
+                                 f"is not k/{args.dim} for any k in 0..{args.dim}: were these "
+                                 f"scores analyzed at another --dim?")
+        else:
             tickets = select_top_k(scores, args.method, args.top_k)
-        except ValueError as exc:
-            raise ValueError(f"{args.scores}: {exc}") from exc
     write_ticket_file(tickets, args.out)
 
 
@@ -212,6 +217,9 @@ def _cmd_transfer(args) -> None:
     base = read_checkpoint(args.base)
     tuned = read_checkpoint(args.tuned)
     tickets = read_ticket_file(args.tickets)
+    rows = validate_pair(base, tuned, args.tensor)[0].shape[0]  # a missing tensor first
+    with naming(args.tickets):
+        tickets.check_vocab(rows, "tensor rows")
     write_checkpoint(splice_in_place(base, tuned, args.tensor, tickets), args.out)
 
 
@@ -235,15 +243,12 @@ def _cmd_certify(args) -> None:
     for alpha in alphas:
         ks_tau(alpha, args.dim)
     log = read_prediction_log(args.log)
-    if args.first_k is not None:
-        log = filter_first_k(log, args.first_k)
-    if not len(log):
-        kept = "" if args.first_k is None else f" at a position below --first-k {args.first_k}"
-        raise ValueError(f"{args.log}: no records{kept}")
-    try:
+    with naming(args.log):
+        log = log if args.first_k is None else filter_first_k(log, args.first_k)
+        if not len(log):
+            kept = "" if args.first_k is None else f" at a position below --first-k {args.first_k}"
+            raise ValueError(f"no records{kept}")
         reports = alpha_sweep(log, alphas, args.dim, args.prob_source)
-    except ValueError as exc:
-        raise ValueError(f"{args.log}: {exc}") from exc
     write_reports(reports, args.out)
 
 
@@ -259,7 +264,8 @@ def _cmd_freq(args) -> None:
     if args.top_k is not None and args.top_k > args.vocab:
         raise ValueError(f"--top-k {args.top_k} exceeds --vocab {args.vocab}")
     corpus = _read_corpus(args.corpus)
-    counts = count_frequencies(corpus, args.vocab)
+    with naming(args.corpus):
+        counts = count_frequencies(corpus, args.vocab)
     _write_counts_csv(counts, args.out, args.top_k)
 
 
@@ -301,12 +307,12 @@ def _cmd_toy_train(args) -> None:
     # the options' domain errors, under a mode that needs no tickets, before any read
     config = TrainConfig(mode="full", learning_rate=args.lr, epochs=args.epochs,
                          seed=args.seed, batch_size=args.batch_size)
-    model = model_from_checkpoint(read_checkpoint(args.model))
+    model = _read_model(args.model)
     task = read_task_csv(args.task, model.vocab_size)
     tickets = None if args.tickets is None else read_ticket_file(args.tickets)
-    if tickets is not None and tickets.vocab_size != model.vocab_size:
-        raise ValueError(f"{args.tickets}: ticket vocab_size {tickets.vocab_size} "
-                         f"does not match model vocab {model.vocab_size}")
+    if tickets is not None:
+        with naming(args.tickets):
+            tickets.check_vocab(model.vocab_size, "model vocab")
     tuned, losses = train(model, task, replace(config, mode=args.mode, tickets=tickets))
     write_checkpoint(model_to_checkpoint(tuned), args.out)
     if args.loss_out is not None:
@@ -319,7 +325,7 @@ def _toy_eval_options(p) -> None:
 
 
 def _cmd_toy_eval(args) -> None:
-    model = model_from_checkpoint(read_checkpoint(args.model))
+    model = _read_model(args.model)
     task = read_task_csv(args.task, model.vocab_size)
     line = f"accuracy={fmt_float(evaluate(model, task))}"
     print(line)
@@ -335,10 +341,8 @@ def _toy_predict_log_options(p) -> None:
 
 
 def _cmd_toy_predict_log(args) -> None:
-    tuned, partial, base = (
-        None if path is None else model_from_checkpoint(read_checkpoint(path))
-        for path in (args.tuned, args.partial, args.base)
-    )
+    tuned, partial, base = (None if path is None else _read_model(path)
+                            for path in (args.tuned, args.partial, args.base))
     task = read_task_csv(args.task, tuned.vocab_size)
     write_prediction_log(emit_prediction_log(tuned, partial, base, task), args.out)
 

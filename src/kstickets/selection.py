@@ -20,6 +20,7 @@ from ._text import (
     OPTIONAL_INT,
     blank_cells,
     cast_columns,
+    naming,
     parse_optional,
     read_csv,
     write_csv,
@@ -135,6 +136,11 @@ class WinningTicketSet:
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+    def check_vocab(self, rows: int, what: str) -> None:
+        """Raise ValueError unless vocab_size is rows, the row count of what."""
+        if self.vocab_size != rows:
+            raise ValueError(f"ticket vocab_size {self.vocab_size} does not match {what} {rows}")
 
 
 def _guarded_divisor(x: np.ndarray) -> np.ndarray:
@@ -547,11 +553,7 @@ def compare_ticket_distributions(
     am, bm = tuned_a.matrix, tuned_b.matrix
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    if tickets.vocab_size != tuned_a.shape[0]:
-        raise ValueError(
-            f"ticket vocab_size {tickets.vocab_size} does not match "
-            f"matrix rows {tuned_a.shape[0]}"
-        )
+    tickets.check_vocab(tuned_a.shape[0], "matrix rows")
     tau = ks_tau(alpha, am.shape[1])
     if not tickets.token_ids:
         return 1.0
@@ -571,13 +573,10 @@ def read_scores_csv(path) -> ScoreTable:
                for name in METRICS]
     parsers = (INT, *metrics, OPTIONAL_INT)
     *columns, freq = read_csv(path, SCORES_HEADER, parsers, "scores")
-    if not len(columns[0]):
-        raise ValueError(f"{path}: no rows")
-    blank = blank_cells(freq, len(columns[0])).any()
-    try:
-        return ScoreTable(*columns, frequency=None if blank else freq)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with naming(path):
+        if not len(columns[0]):
+            raise ValueError("no rows")
+        return ScoreTable(*columns, frequency=None if blank_cells(freq, len(columns[0])).any() else freq)
 
 
 def write_ticket_file(tickets: WinningTicketSet, path) -> None:
@@ -596,25 +595,22 @@ def write_ticket_file(tickets: WinningTicketSet, path) -> None:
 
 def read_ticket_file(path) -> WinningTicketSet:
     """Parse key=value lines; a line without '=' or a repeated key is an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    fields = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ValueError(f"{path}: bad ticket row at line {lineno}: no '='")
-        if key in fields:
-            raise ValueError(
-                f"{path}: bad ticket row at line {lineno}: duplicate key {key!r}"
-            )
-        fields[key] = value
-    missing = [k for k in _TICKET_FIELDS if k not in fields]
-    if missing:
-        raise ValueError(f"{path}: ticket file missing fields {missing}")
-    ids_text = fields["token_ids"].strip()
-    try:
+    with naming(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        fields = {}
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"bad ticket row at line {lineno}: no '='")
+            if key in fields:
+                raise ValueError(f"bad ticket row at line {lineno}: duplicate key {key!r}")
+            fields[key] = value
+        if missing := [k for k in _TICKET_FIELDS if k not in fields]:
+            raise ValueError(f"ticket file missing fields {missing}")
+        ids_text = fields["token_ids"].strip()
         return WinningTicketSet(
             method=fields["method"].strip(),
             alpha=parse_optional(fields["alpha"], float),
@@ -622,5 +618,3 @@ def read_ticket_file(path) -> WinningTicketSet:
             vocab_size=int(fields["vocab_size"]),
             token_ids=ids_text.split(",") if ids_text else (),
         )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

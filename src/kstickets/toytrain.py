@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import Column, read_csv, write_csv
+from ._text import Column, naming, read_csv, write_csv
 from .certify import PredictionLog
 from .checkpoint import Checkpoint, TensorRecord, get_embedding
 from .selection import WinningTicketSet
@@ -226,9 +226,8 @@ def train(
     every pair; any other 1-row product is padded to keep those bits.
     """
     _check_vocab(model, task)
-    if config.tickets is not None and config.tickets.vocab_size != model.vocab_size:
-        raise ValueError(f"ticket vocab_size {config.tickets.vocab_size} "
-                         f"does not match model vocab {model.vocab_size}")
+    if config.tickets is not None:
+        config.tickets.check_vocab(model.vocab_size, "model vocab")
 
     trainable = np.ones(model.vocab_size, dtype=bool)
     if config.mode in ("partial", "frozen_complement"):
@@ -336,6 +335,7 @@ def read_task_csv(path, vocab_size: int) -> SyntheticTask:
     ids = [Column(np.int64, valid=lambda i: (0 <= i) & (i < vocab_size),
                   invalid=f"{label} id {{}} outside [0, {vocab_size})") for label in ("source", "target")]
     sources, targets = read_csv(path, TASK_HEADER, ids, "task")
-    if not len(sources):
-        raise ValueError(f"{path}: no pairs")
-    return SyntheticTask(vocab_size=vocab_size, sources=sources, targets=targets)
+    with naming(path):
+        if not len(sources):
+            raise ValueError("no pairs")
+        return SyntheticTask(vocab_size=vocab_size, sources=sources, targets=targets)

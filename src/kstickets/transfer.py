@@ -44,10 +44,7 @@ def splice_in_place(
     """splice_partial_transfer without the copy: overwrite the ticket rows of
     base's own (writable) tensor_name with tuned's, and return base."""
     vb, vt = validate_pair(base, tuned, tensor_name)
-    if tickets.vocab_size != vb.shape[0]:
-        raise ValueError(
-            f"ticket vocab_size {tickets.vocab_size} does not match tensor rows {vb.shape[0]}"
-        )
+    tickets.check_vocab(vb.shape[0], "tensor rows")
     ids = list(tickets.token_ids)
     vb.matrix[ids] = vt.matrix[ids]
     return base

@@ -820,6 +820,97 @@ def test_whole_file_faults_of_select_and_certify_name_the_file(tmp_path, capsys)
         assert not out.exists()
 
 
+def _only_named_error(err: str, path) -> None:
+    """err's first line names path once, as `error: path: reason`."""
+    assert err.splitlines()[0].startswith(f"error: {path}: ")
+    assert err.count(str(path)) == 1
+
+
+UNDECODABLE = [
+    ("scores.csv", f"{SCORES_HEADER}\n0,\xff", ["select", "--method", "ks", "--top-k", "1",
+                                                "--scores", "{bad}"]),
+    ("log.csv", f"{LOG_HEADER}\n\xff", ["certify", "--dim", "4", "--alpha", "0.05",
+                                        "--log", "{bad}"]),
+    ("task.csv", "source,target\n0,\xff\n", ["toy", "eval", "--model", "{ckpt}",
+                                            "--task", "{bad}"]),
+    ("counts.csv", "token_id,count\n\xff,1\n", ["analyze", "--base", "{ckpt}", "--tuned", "{ckpt}",
+                                               "--tensor", "embedding", "--freq", "{bad}"]),
+    ("tickets.txt", "method=ks\xff\n", ["mask", "--tickets", "{bad}"]),
+    ("corpus.txt", "1 2 \xff\n", ["freq", "--vocab", "8", "--corpus", "{bad}"]),
+]
+
+
+@pytest.mark.parametrize("name, text, argv", UNDECODABLE,
+                         ids=["scores", "log", "task", "counts", "tickets", "corpus"])
+def test_undecodable_text_names_the_file(tmp_path, capsys, name, text, argv):
+    ckpt, bad, out = tmp_path / "model.ckpt", tmp_path / name, tmp_path / "out.txt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    bad.write_bytes(text.encode("latin-1"))
+    assert run([a.format(bad=bad, ckpt=ckpt) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    _only_named_error(err, bad)
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, argv, reason", [
+    ("corpus.txt", "1\n2\n7\n", ["freq", "--vocab", "4", "--corpus"],
+     "token id 7 out of range [0, 4) at position 2\n"),
+    ("corpus.txt", "1\n99999999999999999999\n", ["freq", "--vocab", "4", "--corpus"], ""),
+    ("counts.csv", "token_id,count\n0,99999999999999999999\n",
+     ["analyze", "--base", "{ckpt}", "--tuned", "{ckpt}", "--tensor", "embedding", "--freq"], ""),
+    ("scores.csv", f"{SCORES_HEADER}\n99999999999999999999,0,1,1,0,0,1,0,\n",
+     ["select", "--method", "ks", "--top-k", "1", "--scores"], ""),
+    ("log.csv", f"{LOG_HEADER}\n0,99999999999999999999,1,1,0.9,0.1,,,\n",
+     ["certify", "--dim", "4", "--alpha", "0.05", "--log"], ""),
+], ids=["corpus-id-outside-vocab", "corpus-id-beyond-int64", "count-beyond-int64",
+        "scores-id-beyond-int64", "log-position-beyond-int64"])
+def test_ids_out_of_range_name_the_file(tmp_path, capsys, name, text, argv, reason):
+    ckpt, bad, out = tmp_path / "model.ckpt", tmp_path / name, tmp_path / "out.txt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    bad.write_text(text)
+    assert run([a.format(ckpt=ckpt) for a in argv] + [str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    _only_named_error(err, bad)
+    assert err.endswith(reason)
+    assert not out.exists()
+
+
+def test_transfer_names_the_ticket_file_of_another_vocab(tmp_path, capsys):
+    ckpt, tickets, out = tmp_path / "model.ckpt", tmp_path / "t.txt", tmp_path / "out.ckpt"
+    write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)
+    write_ticket_file(WinningTicketSet(method="ks", vocab_size=5, token_ids=(1,)), tickets)
+    argv = ["transfer", "--base", str(ckpt), "--tuned", str(ckpt), "--tickets", str(tickets),
+            "--out", str(out), "--tensor"]
+    assert run(argv + ["embedding"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tickets}: ticket vocab_size 5 does not match tensor rows 4\n")
+    # a missing tensor is the checkpoints' fault, not the ticket file's
+    assert run(argv + ["nosuch"]) == 2
+    assert capsys.readouterr().err == "error: tensor not found: 'nosuch'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy", "train", "--mode", "embed", "--task", "{task}", "--model", "{bad}"],
+    ["toy", "eval", "--task", "{task}", "--model", "{bad}"],
+    ["toy", "predict-log", "--task", "{task}", "--tuned", "{bad}"],
+    ["toy", "predict-log", "--task", "{task}", "--tuned", "{ckpt}", "--partial", "{bad}"],
+    ["toy", "predict-log", "--task", "{task}", "--tuned", "{ckpt}", "--partial", "{ckpt}",
+     "--base", "{bad}"],
+], ids=["train", "eval", "predict-log-tuned", "predict-log-partial", "predict-log-base"])
+def test_toy_commands_name_the_checkpoint_without_a_model_tensor(tmp_path, capsys, argv):
+    ckpt, bad, task = tmp_path / "model.ckpt", tmp_path / "emb_only.ckpt", tmp_path / "task.csv"
+    model = model_to_checkpoint(init_model(1, 4, 2))
+    write_checkpoint(model, ckpt)
+    write_checkpoint(Checkpoint([model.tensor("embedding")]), bad)
+    write_task_csv(generate_task(1, 4, 10), task)
+    out = tmp_path / "out.txt"
+    assert run([a.format(bad=bad, ckpt=ckpt, task=task) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: tensor not found: 'output_weights'\n"
+    assert not out.exists()
+
+
 def test_checkpoint_with_trailing_bytes_exits_two(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     write_checkpoint(model_to_checkpoint(init_model(1, 4, 2)), ckpt)

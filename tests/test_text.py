@@ -14,12 +14,14 @@ from kstickets._text import (
     OPTIONAL_INT,
     atomic_open,
     fmt_float,
+    naming,
     parse_optional,
     read_csv,
     write_csv,
     write_text,
 )
 from kstickets.certify import LOG_HEADER, PredictionLog, read_prediction_log, write_prediction_log
+from kstickets.checkpoint import CheckpointError
 from kstickets.cli import _read_corpus, _read_counts_csv, run
 from kstickets.selection import SCORES_HEADER, ScoreTable, read_scores_csv, write_scores_csv
 from kstickets.toytrain import read_task_csv
@@ -361,3 +363,27 @@ def test_tables_cast_their_columns_and_name_a_bad_shape():
     with pytest.raises(ValueError) as err:
         PredictionLog([0, 0], [0, 1], [1, 2], [1, 2], [1, 1], [[0], [0]])
     assert str(err.value) == "column p2 has shape (2, 1), expected (2,)"
+
+
+@pytest.mark.parametrize("raised, kind", [
+    (CheckpointError("not a checkpoint"), CheckpointError),
+    (OverflowError("Python int too large to convert to C long"), OverflowError),
+    (ValueError("no rows"), ValueError),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), ValueError),
+], ids=["checkpoint-error", "overflow", "value-error", "decode-error"])
+def test_naming_prefixes_the_path_and_keeps_the_class(raised, kind):
+    with pytest.raises(Exception) as exc:
+        with naming("in.csv"):
+            raise raised
+    assert type(exc.value) is kind
+    assert str(exc.value) == f"in.csv: {raised}"
+    assert exc.value.__cause__ is raised
+
+
+@pytest.mark.parametrize("raised", [FileNotFoundError(2, "No such file"), TypeError("bad call")],
+                         ids=["os-error", "type-error"])
+def test_naming_passes_other_errors_through(raised):
+    with pytest.raises(Exception) as exc:
+        with naming("in.csv"):
+            raise raised
+    assert exc.value is raised
