@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +26,17 @@ __all__ = [
     "Checkpoint",
     "write_checkpoint",
     "read_checkpoint",
+    "read_checkpoints",
     "get_embedding",
     "validate_pair",
 ]
 
 MAGIC = b"KSLT"
 FORMAT_VERSION = 1
+# read_checkpoints reads a second file on a second thread only when every file
+# is a regular one of at least this many bytes: below it, the thread's start
+# and its contention with the calling thread cost more than the overlap saves
+CONCURRENT_READ_BYTES = 16 << 20
 
 
 class CheckpointError(ValueError):
@@ -114,32 +121,45 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _read_rest(fh, skip: int) -> memoryview:
-    """The rest of fh, read in place into one buffer in which the bytes after
-    the first `skip` start 4-byte aligned; a pipe is read to its end too."""
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    def aligned(nbytes: int) -> memoryview:
-        return memoryview(np.empty((nbytes + 3) // 4, dtype=np.float32)).cast("B")
 
+def _buffer(nbytes: int) -> memoryview:
+    """nbytes of uninitialised memory, 4-byte aligned."""
+    return memoryview(np.empty((nbytes + 3) // 4, dtype=np.float32)).cast("B")
+
+
+def _read_rest(fh, skip: int, buf: memoryview | None) -> memoryview:
+    """The rest of fh, read in place into buf (a new buffer if None) so that
+    the bytes after the first `skip` start 4-byte aligned; a pipe is read to
+    its end too."""
     pad = -skip % 4
-    buf, n = aligned(pad + os.fstat(fh.fileno()).st_size), pad
+    if buf is None:
+        buf = _buffer(pad + os.fstat(fh.fileno()).st_size)
+    n = pad
     while True:
         if n == buf.nbytes:  # full: a pipe, or a file that grew
-            buf, full = aligned(2 * n + 4096), buf
+            buf, full = _buffer(2 * n + 4096), buf
             buf[:n] = full
         if not (got := fh.readinto(buf[n:])):
             return buf[pad:n]
         n += got
 
 
-def read_checkpoint(path) -> Checkpoint:
+def read_checkpoint(path, into: memoryview | None = None) -> Checkpoint:
     """Parse and validate a checkpoint file; the payloads must tile it exactly.
-    The file is read once into one buffer, and each tensor is a view of it."""
+    The file is read once into one buffer, and each tensor is a view of it:
+    `into`, when given, is that buffer, from _buffer(3 + the file's size)."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(12)
             header_len = struct.unpack("<I", head[8:12])[0] if len(head) == 12 else 0
-            rest = _read_rest(fh, header_len)
+            rest = _read_rest(fh, header_len, into)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     with naming(path):
@@ -179,6 +199,49 @@ def read_checkpoint(path) -> Checkpoint:
         if end != len(payload):
             raise CheckpointError(f"corrupt checkpoint ({len(payload) - end} trailing payload bytes)")
         return Checkpoint([TensorRecord(*t) for t in tensors])
+
+
+def _regular_size(path) -> int:
+    """path's size in bytes if it is a regular file, else -1."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return -1
+    return st.st_size if stat.S_ISREG(st.st_mode) else -1
+
+
+def read_checkpoints(*paths) -> list[Checkpoint]:
+    """read_checkpoint of each path, in order.
+
+    With two CPUs or more and every path a regular file of at least
+    CONCURRENT_READ_BYTES, a second thread reads every file but the first
+    (readinto and numpy release the GIL) into buffers allocated here: a
+    thread's own malloc arena would raise the peak RSS. Otherwise the files
+    are read one after the other, so a FIFO or a missing file fails as in
+    read_checkpoint. Either way the first failure in argument order is
+    raised, after the thread has ended.
+    """
+    sizes = [_regular_size(p) for p in paths]
+    if len(paths) < 2 or _cpu_count() < 2 or min(sizes) < CONCURRENT_READ_BYTES:
+        return [read_checkpoint(p) for p in paths]
+    buffers = [_buffer(3 + size) for size in sizes[1:]]
+    rest, failure = [], []
+
+    def read_rest():
+        try:
+            rest.extend(read_checkpoint(p, buf) for p, buf in zip(paths[1:], buffers))
+        except BaseException as exc:
+            failure.append(exc)
+
+    worker = threading.Thread(target=read_rest, name="read_checkpoints")
+    worker.start()
+    try:
+        first = read_checkpoint(paths[0])
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return [first, *rest]
 
 
 def get_embedding(ckpt: Checkpoint, tensor_name: str) -> TensorRecord:

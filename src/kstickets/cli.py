@@ -25,6 +25,7 @@ from .certify import (
 )
 from .checkpoint import (
     read_checkpoint,
+    read_checkpoints,
     validate_pair,
     write_checkpoint,
 )
@@ -157,8 +158,7 @@ def _analyze_options(p) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    base = read_checkpoint(args.base)
-    tuned = read_checkpoint(args.tuned)
+    base, tuned = read_checkpoints(args.base, args.tuned)
     vb, vt = validate_pair(base, tuned, args.tensor)
     # a malformed counts file fails before any row is scored
     freq = None if args.freq is None else _read_counts_csv(args.freq, vb.shape[0])
@@ -214,8 +214,7 @@ def _transfer_options(p) -> None:
 
 def _cmd_transfer(args) -> None:
     # base is read for this call alone, so its own buffer takes the rows
-    base = read_checkpoint(args.base)
-    tuned = read_checkpoint(args.tuned)
+    base, tuned = read_checkpoints(args.base, args.tuned)
     tickets = read_ticket_file(args.tickets)
     rows = validate_pair(base, tuned, args.tensor)[0].shape[0]  # a missing tensor first
     with naming(args.tickets):

@@ -7,7 +7,6 @@ values, scored with the two-sample KS test plus five baseline change metrics
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -26,7 +25,7 @@ from ._text import (
     write_csv,
     write_text,
 )
-from .checkpoint import TensorRecord
+from .checkpoint import TensorRecord, _cpu_count
 from .ksstat import (
     Sample,
     ks_pvalue_asymptotic,
@@ -208,14 +207,6 @@ def _blocks(n: int, d: int):
     """Slices covering range(n), each max(1, _CHUNK_ELEMENTS // d) rows long."""
     rows = max(1, _CHUNK_ELEMENTS // d)
     return (slice(lo, lo + rows) for lo in range(0, n, rows))
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstickets import checkpoint
 from kstickets.checkpoint import (
     Checkpoint,
     CheckpointError,
     TensorRecord,
     get_embedding,
     read_checkpoint,
+    read_checkpoints,
     validate_pair,
     write_checkpoint,
 )
@@ -369,3 +371,80 @@ class TestValidatePair:
         b = make_ckpt(("other", (8, 4)))
         with pytest.raises(CheckpointError, match="tensor not found"):
             validate_pair(a, b, "embed")
+
+
+class TestReadCheckpoints:
+    """read_checkpoints gives read_checkpoint of each path, in order, and the
+    first failure in argument order, whether or not it reads on two threads."""
+
+    @pytest.fixture()
+    def concurrent(self, monkeypatch):
+        """Two threads for files of any size, on any machine."""
+        monkeypatch.setattr(checkpoint, "CONCURRENT_READ_BYTES", 0)
+        monkeypatch.setattr(checkpoint, "_cpu_count", lambda: 2)
+
+    @staticmethod
+    def write_models(tmp_path, names=("e", "em", "emb")):  # header lengths of every residue mod 4
+        paths = []
+        for k, name in enumerate(names):
+            path = tmp_path / f"{name}.ckpt"
+            write_checkpoint(make_ckpt((name, (3 + k, 5)), ("b", (7,))), path)
+            paths.append(path)
+        return paths
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [t.name for t in got.tensors] == [t.name for t in want.tensors]
+        for g, w in zip(got.tensors, want.tensors):
+            assert g.shape == w.shape and g.data.tobytes() == w.data.tobytes()
+            assert g.data.ctypes.data % 4 == 0 and g.data.flags.writeable
+
+    def test_reads_all_but_the_first_on_one_other_thread(self, tmp_path, concurrent, monkeypatch,
+                                                        started_threads):
+        paths = self.write_models(tmp_path)
+        allocated_on = []
+        buffer = checkpoint._buffer
+
+        def spy(nbytes):
+            allocated_on.append(threading.get_ident())
+            return buffer(nbytes)
+
+        monkeypatch.setattr(checkpoint, "_buffer", spy)
+        got = read_checkpoints(*paths)
+        assert started_threads == ["read_checkpoints"]
+        # every buffer, the other thread's too, comes from the calling thread
+        assert allocated_on == [threading.get_ident()] * len(paths)
+        for path, ckpt in zip(paths, got):
+            self.assert_same(ckpt, read_checkpoint(path))
+
+    @pytest.mark.parametrize("floor, cpus", [(1 << 20, 2), (0, 1)], ids=["small-files", "one-cpu"])
+    def test_small_files_or_one_cpu_read_on_this_thread(self, tmp_path, monkeypatch, started_threads,
+                                                       floor, cpus):
+        monkeypatch.setattr(checkpoint, "CONCURRENT_READ_BYTES", floor)
+        monkeypatch.setattr(checkpoint, "_cpu_count", lambda: cpus)
+        paths = self.write_models(tmp_path)
+        for path, ckpt in zip(paths, read_checkpoints(*paths)):
+            self.assert_same(ckpt, read_checkpoint(path))
+        assert started_threads == []
+
+    def test_a_path_that_is_not_a_regular_file_reads_on_this_thread(self, tmp_path, concurrent,
+                                                                    started_threads):
+        good = self.write_models(tmp_path)[0]
+        for other in (tmp_path / "missing.ckpt", tmp_path):
+            with pytest.raises(CheckpointError, match=f"cannot read checkpoint {other}"):
+                read_checkpoints(good, other)
+        assert started_threads == []
+
+    @pytest.mark.parametrize("bad", [(0,), (1,), (0, 1), (1, 2), (2,)],
+                             ids=["first", "second", "first-and-second", "second-and-third", "third"])
+    def test_raises_the_first_failure_in_argument_order(self, tmp_path, concurrent, started_threads,
+                                                        bad):
+        paths = self.write_models(tmp_path)
+        for k in bad:  # each a fault of its own
+            paths[k].write_bytes(paths[k].read_bytes()[:-4 * (k + 1)])
+        with pytest.raises(CheckpointError) as serial:
+            read_checkpoint(paths[bad[0]])
+        with pytest.raises(CheckpointError) as info:
+            read_checkpoints(*paths)
+        assert str(info.value) == str(serial.value)
+        assert started_threads == ["read_checkpoints"]

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import kstickets
 from kstickets.checkpoint import Checkpoint, TensorRecord, read_checkpoint, write_checkpoint
 from kstickets._text import fmt_float
-from kstickets import cli
+from kstickets import checkpoint, cli, selection
 from kstickets.cli import _off_lattice, run
 from kstickets.selection import WinningTicketSet, read_scores_csv, read_ticket_file, write_ticket_file
 from kstickets.toytrain import (
@@ -1064,3 +1065,100 @@ def test_python_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert run([*gen, str(tmp_path / "run.csv")]) == 0
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+
+@pytest.fixture()
+def concurrent_reads(monkeypatch):
+    """analyze and transfer read their pair on two threads, whatever its size."""
+    monkeypatch.setattr(checkpoint, "CONCURRENT_READ_BYTES", 0)
+    monkeypatch.setattr(checkpoint, "_cpu_count", lambda: 2)
+
+
+def _pair_argv(command, base, tuned, tickets, out):
+    extra = ["--tickets", str(tickets)] if command == "transfer" else []
+    return [command, "--base", str(base), "--tuned", str(tuned), "--tensor", "embedding",
+            *extra, "--out", str(out)]
+
+
+def test_concurrent_reads_write_the_same_bytes(workdir, monkeypatch, started_threads):
+    full_analyze(workdir)
+    tickets = workdir / "tickets.txt"
+    assert run(["select", "--scores", str(workdir / "scores.csv"), "--alpha", "0.05", "--dim", "32",
+                "--out", str(tickets)]) == 0
+    base, tuned = workdir / "base.ckpt", workdir / "tuned.ckpt"
+    outputs = {}
+    for concurrent in (False, True):
+        if concurrent:
+            monkeypatch.setattr(checkpoint, "CONCURRENT_READ_BYTES", 0)
+            monkeypatch.setattr(checkpoint, "_cpu_count", lambda: 2)
+        for command, name in (("analyze", "scores.csv"), ("transfer", "spliced.ckpt")):
+            out = workdir / f"{concurrent}-{name}"
+            assert run(_pair_argv(command, base, tuned, tickets, out)) == 0
+            outputs[concurrent, command] = out.read_bytes()
+    assert started_threads.count("read_checkpoints") == 2
+    for command in ("analyze", "transfer"):
+        assert outputs[True, command] == outputs[False, command]
+
+
+@pytest.mark.parametrize("command", ["analyze", "transfer"])
+@pytest.mark.parametrize("bad", [("base", "tuned"), ("tuned",)], ids=["both", "tuned-only"])
+def test_concurrent_reads_name_the_first_malformed_checkpoint(workdir, capsys, concurrent_reads,
+                                                             started_threads, command, bad):
+    paths = {"base": workdir / "base.ckpt", "tuned": workdir / "tuned.ckpt"}
+    for name in bad:
+        paths[name] = workdir / f"bad-{name}.ckpt"
+        paths[name].write_bytes(b"not a checkpoint at all")
+    full_analyze(workdir)
+    capsys.readouterr()
+    assert run(["select", "--scores", str(workdir / "scores.csv"), "--method", "ks", "--top-k", "3",
+                "--out", str(workdir / "tickets.txt")]) == 0
+    out = workdir / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(_pair_argv(command, paths["base"], paths["tuned"], workdir / "tickets.txt", out))
+        gc.collect()  # an unclosed file warns when it is collected
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {paths[bad[0]]}: not a checkpoint\n"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not out.exists()
+    assert "read_checkpoints" in started_threads
+
+
+def test_a_fifo_is_never_read_on_the_second_thread(tmp_path):
+    # a malformed --base fails before the --tuned FIFO, which has no writer, is opened
+    bad, fifo = tmp_path / "bad.ckpt", tmp_path / "fifo"
+    bad.write_bytes(b"not a checkpoint at all")
+    os.mkfifo(fifo)
+    src = str(Path(kstickets.__file__).resolve().parents[1])
+    script = ("import sys; from kstickets import checkpoint, cli; "
+              "checkpoint.CONCURRENT_READ_BYTES = 0; checkpoint._cpu_count = lambda: 2; "
+              "sys.exit(cli.run(sys.argv[1:]))")
+    argv = _pair_argv("analyze", bad, fifo, None, tmp_path / "s.csv")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {bad}: not a checkpoint\n"
+
+
+def test_one_cpu_starts_no_thread(workdir, monkeypatch, started_threads):
+    # many small blocks, so analyze_pair's pool would start on two CPUs
+    monkeypatch.setattr(selection, "_CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(checkpoint, "CONCURRENT_READ_BYTES", 0)
+    assert selection._cpu_count is checkpoint._cpu_count  # one rule for both
+    full_analyze(workdir)
+    tickets = workdir / "tickets.txt"
+    assert run(["select", "--scores", str(workdir / "scores.csv"), "--method", "ks", "--top-k", "3",
+                "--out", str(tickets)]) == 0
+    base, tuned = workdir / "base.ckpt", workdir / "tuned.ckpt"
+    for cpus in (2, 1):
+        started_threads.clear()
+        for module in (checkpoint, selection):
+            monkeypatch.setattr(module, "_cpu_count", lambda: cpus)
+        for command in ("analyze", "transfer"):
+            assert run(_pair_argv(command, base, tuned, tickets, workdir / f"{cpus}-{command}")) == 0
+        if cpus == 2:  # the reader in each command, and analyze_pair's pool
+            assert started_threads.count("read_checkpoints") == 2
+            assert len(started_threads) > 2
+        else:
+            assert started_threads == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kstickets import cli, selection
+from kstickets import checkpoint, cli, selection
 from kstickets._text import fmt_float
 from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding, write_checkpoint
 from kstickets.ksstat import Sample, ks_statistic, ks_tau
@@ -869,15 +869,15 @@ def test_analyze_cli_exits_2_on_non_finite_rows_in_a_pool_block(cpus, tmp_path, 
     for name in ("base", "tuned"):
         write_checkpoint(Checkpoint([TensorRecord("embed", matrix.shape, matrix.ravel())]),
                          tmp_path / f"{name}.ckpt")
-    read = cli.read_checkpoint
+    read = checkpoint.read_checkpoint
 
-    def poisoned(path):
-        ckpt = read(path)
+    def poisoned(path, into=None):
+        ckpt = read(path, into)
         if path.endswith("tuned.ckpt"):
             ckpt.tensor("embed").data[(r + 1) * 8 + 3] = np.nan
         return ckpt
 
-    monkeypatch.setattr(cli, "read_checkpoint", poisoned)
+    monkeypatch.setattr(checkpoint, "read_checkpoint", poisoned)
     out = tmp_path / "scores.csv"
     argv = ["analyze", "--base", str(tmp_path / "base.ckpt"), "--tuned",
             str(tmp_path / "tuned.ckpt"), "--tensor", "embed", "--out", str(out)]
