@@ -159,6 +159,17 @@ def read_csv(path, header: str, parsers, what: str) -> list:
                 or _python_columns(rows, parsers, what, ncells))
 
 
+def numpy_or_none(parse, *args, **kwargs):
+    """parse(*args, **kwargs), a numpy parse, or None where it raised or
+    warned: there its answer could differ from Python's, which then decides."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(*args, **kwargs)
+        except (ValueError, OverflowError, Warning):
+            return None
+
+
 def _c_columns(rows: list[str], parsers, ncells: int) -> list | None:
     """The columns np.loadtxt parses from rows, or None wherever its answer
     could differ from Python's: it raised or warned (as on a row whose cell
@@ -169,13 +180,8 @@ def _c_columns(rows: list[str], parsers, ncells: int) -> list | None:
         return None
     blank = [parse.optional and cell == "" for parse, cell in zip(parsers, rows[0].split(","))]
     dtype = np.dtype([(f"c{j}", "U1" if blank[j] else p.dtype) for j, p in enumerate(parsers)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, OverflowError, Warning):  # Python's parse decides
-            return None
-    if table.size != len(rows):
+    table = numpy_or_none(np.loadtxt, rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    if table is None or table.size != len(rows):
         return None
     columns = [table[name] for name in dtype.names]
     for parse, skip, values in zip(parsers, blank, columns):

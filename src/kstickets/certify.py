@@ -102,9 +102,9 @@ class CertificationReport:
     d: int
     n_records: int
     certified_accuracy: float
+    prediction_accuracy: float | None
     tuned_accuracy: float
     verified_percentage: float
-    prediction_accuracy: float | None = None
 
 
 def _verified(log: PredictionLog, tau: float, prob_source: str) -> np.ndarray:
@@ -151,10 +151,10 @@ def certification_report(
     return CertificationReport(
         alpha=alpha, tau=tau, d=d, n_records=n,
         certified_accuracy=np.count_nonzero(certified(log, tau, prob_source)) / n,
-        tuned_accuracy=np.count_nonzero(log.tuned_prediction == log.reference_token) / n,
-        verified_percentage=np.count_nonzero(_verified(log, tau, prob_source)) / n,
         prediction_accuracy=None if partial is None
         else np.count_nonzero(partial == log.reference_token) / n,
+        tuned_accuracy=np.count_nonzero(log.tuned_prediction == log.reference_token) / n,
+        verified_percentage=np.count_nonzero(_verified(log, tau, prob_source)) / n,
     )
 
 
@@ -186,18 +186,11 @@ def read_prediction_log(path) -> PredictionLog:
 
 
 def render_report(report: CertificationReport) -> str:
-    lines = [
-        f"alpha={fmt_float(report.alpha)}",
-        f"tau={fmt_float(report.tau)}",
-        f"d={report.d}",
-        f"n_records={report.n_records}",
-        f"certified_accuracy={fmt_float(report.certified_accuracy)}",
-        "prediction_accuracy="
-        + ("" if report.prediction_accuracy is None else fmt_float(report.prediction_accuracy)),
-        f"tuned_accuracy={fmt_float(report.tuned_accuracy)}",
-        f"verified_percentage={fmt_float(report.verified_percentage)}",
-    ]
-    return "\n".join(lines) + "\n"
+    """One key=value line per field: an int as is, None blank, a float by fmt_float."""
+    def cell(value):
+        return str(value) if isinstance(value, int) else "" if value is None else fmt_float(value)
+
+    return "".join(f"{f.name}={cell(getattr(report, f.name))}\n" for f in fields(report))
 
 
 def write_reports(reports: Sequence[CertificationReport], path) -> None:

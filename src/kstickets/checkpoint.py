@@ -129,6 +129,30 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _on_threads(tasks, name: str) -> list:
+    """The results of tasks, in task order: tasks[0] runs on the calling
+    thread and each other task on a threading.Thread of this name, so one
+    task starts no thread. Every thread is joined before the first failure
+    in task order is raised, as the same exception object."""
+    results, failures = [None] * len(tasks), [None] * len(tasks)
+
+    def run(k):
+        try:
+            results[k] = tasks[k]()
+        except BaseException as exc:
+            failures[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,), name=name) for k in range(1, len(tasks))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in filter(None, failures):
+        raise exc
+    return results
+
+
 def _buffer(nbytes: int) -> memoryview:
     """nbytes of uninitialised memory, 4-byte aligned."""
     return memoryview(np.empty((nbytes + 3) // 4, dtype=np.float32)).cast("B")
@@ -214,33 +238,20 @@ def read_checkpoints(*paths) -> list[Checkpoint]:
     """read_checkpoint of each path, in order.
 
     With two CPUs or more and every path a regular file of at least
-    CONCURRENT_READ_BYTES, a second thread reads every file but the first
-    (readinto and numpy release the GIL) into buffers allocated here: a
-    thread's own malloc arena would raise the peak RSS. Otherwise the files
-    are read one after the other, so a FIFO or a missing file fails as in
-    read_checkpoint. Either way the first failure in argument order is
+    CONCURRENT_READ_BYTES, one _on_threads thread reads every file but the
+    first (readinto and numpy release the GIL) into buffers allocated here:
+    a thread's own malloc arena would raise the peak RSS. Otherwise the
+    files are read one after the other, so a FIFO or a missing file fails as
+    in read_checkpoint. Either way the first failure in argument order is
     raised, after the thread has ended.
     """
     sizes = [_regular_size(p) for p in paths]
     if len(paths) < 2 or _cpu_count() < 2 or min(sizes) < CONCURRENT_READ_BYTES:
         return [read_checkpoint(p) for p in paths]
     buffers = [_buffer(3 + size) for size in sizes[1:]]
-    rest, failure = [], []
-
-    def read_rest():
-        try:
-            rest.extend(read_checkpoint(p, buf) for p, buf in zip(paths[1:], buffers))
-        except BaseException as exc:
-            failure.append(exc)
-
-    worker = threading.Thread(target=read_rest, name="read_checkpoints")
-    worker.start()
-    try:
-        first = read_checkpoint(paths[0])
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    first, rest = _on_threads([lambda: read_checkpoint(paths[0]),
+                               lambda: list(map(read_checkpoint, paths[1:], buffers))],
+                              "read_checkpoints")
     return [first, *rest]
 
 

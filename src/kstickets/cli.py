@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from ._text import Column, fmt_float, naming, read_csv, write_csv, write_text
+from ._text import Column, fmt_float, naming, numpy_or_none, read_csv, write_csv, write_text
 from .certify import (
     PROB_SOURCES,
     alpha_sweep,
@@ -103,12 +102,7 @@ def _read_corpus(path) -> np.ndarray:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         if "-" not in text and "+" not in text and not text.isspace():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    ids = np.fromstring(text, dtype=np.int64, sep=" ")
-                except (ValueError, OverflowError, Warning):  # Python's parse decides
-                    ids = None
+            ids = numpy_or_none(np.fromstring, text, dtype=np.int64, sep=" ")
             if ids is not None and not (ids == np.iinfo(np.int64).max).any():
                 return ids
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -25,7 +26,7 @@ from ._text import (
     write_csv,
     write_text,
 )
-from .checkpoint import TensorRecord, _cpu_count
+from .checkpoint import TensorRecord, _cpu_count, _on_threads
 from .ksstat import (
     Sample,
     ks_pvalue_asymptotic,
@@ -426,8 +427,8 @@ def analyze_pair(base: TensorRecord, tuned: TensorRecord) -> ScoreTable:
     each cast to float64 once; every value is bit-identical to score_row on
     that row, whatever the block size and the number of CPUs. With
     W = min(CPUs, _MAX_THREADS) the calling thread scores blocks 0, W, 2W, ...
-    and W - 1 pool threads the other residues (numpy releases the GIL inside
-    each call); one CPU starts no thread. Each share scores in its own
+    and W - 1 threads of _on_threads the other residues (numpy releases the
+    GIL inside each call); one CPU starts no thread. Each share scores in its own
     _Workspace (2.4 MB at d = 768), the cheap metrics of its blocks first,
     then its moved rows in full KS and KL kernel blocks.
     """
@@ -462,16 +463,8 @@ def analyze_pair(base: TensorRecord, tuned: TensorRecord) -> ScoreTable:
             failed.set()
             raise
 
-    # imported here, not at the top: it would lengthen every kstickets import
-    from concurrent.futures import ThreadPoolExecutor
-
     w = min(_cpu_count(), _MAX_THREADS, len(blocks))
-    # threads start on submit: w == 1 submits nothing and starts none
-    with ThreadPoolExecutor(max(1, w - 1)) as pool:
-        shares = [pool.submit(score, blocks[k::w]) for k in range(1, w)]
-        score(blocks[::w])
-        for share in shares:
-            share.result()
+    _on_threads([partial(score, blocks[k::w]) for k in range(w)], "analyze_pair")
     # the scalar series once per distinct statistic: a vectorised exp can
     # differ from math.exp in the last ulp
     stats, where = np.unique(columns["ks_statistic"], return_inverse=True)

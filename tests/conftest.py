@@ -12,13 +12,17 @@ settings.load_profile("default")
 
 @pytest.fixture()
 def started_threads(monkeypatch):
-    """The names of the threads started while the test runs, in order."""
-    names = []
+    """The names of the threads started while the test runs, in order. At
+    teardown none of those threads may still run: each was joined before its
+    caller returned or raised."""
+    names, threads = [], []
     start = threading.Thread.start
 
     def spy(self):
         names.append(self.name)
+        threads.append(self)
         start(self)
 
     monkeypatch.setattr(threading.Thread, "start", spy)
-    return names
+    yield names
+    assert [t.name for t in threads if t.is_alive()] == []

@@ -1,6 +1,7 @@
 import os
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -448,3 +449,60 @@ class TestReadCheckpoints:
             read_checkpoints(*paths)
         assert str(info.value) == str(serial.value)
         assert started_threads == ["read_checkpoints"]
+
+
+class TestOnThreads:
+    """_on_threads: tasks[0] on the calling thread, one named thread per other
+    task, every thread joined before the first failure in task order."""
+
+    def test_results_come_back_in_task_order(self, started_threads):
+        def after(seconds, value):
+            def task():
+                time.sleep(seconds)
+                return value
+            return task
+
+        # the later tasks finish first
+        tasks = [after(0.1, "a"), after(0.05, "b"), after(0.0, "c")]
+        assert checkpoint._on_threads(tasks, "t") == ["a", "b", "c"]
+        assert started_threads == ["t", "t"]
+
+    @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+    def test_a_failure_is_raised_after_every_thread_has_ended(self, started_threads, error):
+        done = []
+
+        def fail():
+            raise error("first")
+
+        def slow():
+            time.sleep(0.2)
+            done.append(True)
+
+        with pytest.raises(error):
+            checkpoint._on_threads([fail, slow], "t")
+        assert done == [True]
+
+    def test_the_first_failure_in_task_order_is_raised(self, started_threads):
+        errors = [None, ValueError("task 1"), ValueError("task 2")]
+
+        def fail(k, seconds):
+            def task():
+                time.sleep(seconds)
+                raise errors[k]
+            return task
+
+        # task 2 fails first in time; task 1's error is raised, the same object
+        with pytest.raises(ValueError) as info:
+            checkpoint._on_threads([lambda: None, fail(1, 0.1), fail(2, 0.0)], "t")
+        assert info.value is errors[1]
+
+    def test_one_task_starts_no_thread(self, started_threads):
+        assert checkpoint._on_threads([threading.get_ident], "t") == [threading.get_ident()]
+        assert started_threads == []
+
+    def test_threads_carry_the_name(self, started_threads):
+        def name():
+            return threading.current_thread().name
+
+        assert checkpoint._on_threads([name] * 3, "worker") == [name(), "worker", "worker"]
+        assert started_threads == ["worker", "worker"]

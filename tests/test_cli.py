@@ -1055,13 +1055,17 @@ def test_option_values_are_checked_before_any_input_is_read(tmp_path, capsys, ar
     assert not out.exists()
 
 
-def test_python_m_runs_the_cli(tmp_path):
+def _python(*args, timeout=None):
+    """python args in a child process that imports this checkout's kstickets."""
     src = str(Path(kstickets.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_python_m_runs_the_cli(tmp_path):
     gen = ["toy", "gen", "--seed", "1", "--vocab", "16", "--pairs", "20", "--out"]
-    proc = subprocess.run([sys.executable, "-m", "kstickets.cli", *gen, str(tmp_path / "m.csv")],
-                          env=env, capture_output=True, text=True)
+    proc = _python("-m", "kstickets.cli", *gen, str(tmp_path / "m.csv"))
     assert proc.returncode == 0, proc.stderr
     assert run([*gen, str(tmp_path / "run.csv")]) == 0
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
@@ -1129,16 +1133,33 @@ def test_a_fifo_is_never_read_on_the_second_thread(tmp_path):
     bad, fifo = tmp_path / "bad.ckpt", tmp_path / "fifo"
     bad.write_bytes(b"not a checkpoint at all")
     os.mkfifo(fifo)
-    src = str(Path(kstickets.__file__).resolve().parents[1])
     script = ("import sys; from kstickets import checkpoint, cli; "
               "checkpoint.CONCURRENT_READ_BYTES = 0; checkpoint._cpu_count = lambda: 2; "
               "sys.exit(cli.run(sys.argv[1:]))")
     argv = _pair_argv("analyze", bad, fifo, None, tmp_path / "s.csv")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
-                          text=True, timeout=30)
+    proc = _python("-c", script, *argv, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {bad}: not a checkpoint\n"
+
+
+def test_analyze_threads_import_no_executor(tmp_path):
+    # concurrent.futures costs a fresh process milliseconds to import;
+    # analyze_pair's threads must start without it
+    rows = 2 * (selection._CHUNK_ELEMENTS // 8) + 1  # 3 blocks
+    matrix = np.random.default_rng(3).normal(size=(2, rows, 8)).astype(np.float32)
+    base, tuned = tmp_path / "base.ckpt", tmp_path / "tuned.ckpt"
+    for path, values in zip((base, tuned), matrix):
+        write_checkpoint(Checkpoint([TensorRecord("embedding", values.shape, values)]), path)
+    script = ("import sys, threading; from kstickets import checkpoint, cli, selection\n"
+              "checkpoint._cpu_count = selection._cpu_count = lambda: 2\n"
+              "names, start = [], threading.Thread.start\n"
+              "threading.Thread.start = lambda self: (names.append(self.name), start(self))\n"
+              "assert cli.run(sys.argv[1:]) == 0\n"
+              "assert 'analyze_pair' in names, names\n"
+              "assert 'concurrent.futures' not in sys.modules\n")
+    argv = _pair_argv("analyze", base, tuned, None, tmp_path / "s.csv")
+    proc = _python("-c", script, *argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_one_cpu_starts_no_thread(workdir, monkeypatch, started_threads):
