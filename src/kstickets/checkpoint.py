@@ -15,6 +15,7 @@ import stat
 import struct
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,9 @@ FORMAT_VERSION = 1
 # is a regular one of at least this many bytes: below it, the thread's start
 # and its contention with the calling thread cost more than the overlap saves
 CONCURRENT_READ_BYTES = 16 << 20
+# a file scanned without being held whole goes through a buffer of this many
+# bytes, cut down to whole rows
+_CHUNK_BYTES = 1 << 20
 
 
 class CheckpointError(ValueError):
@@ -103,18 +107,30 @@ class Checkpoint:
         raise CheckpointError(f"tensor not found: {name!r}")
 
 
+class _Entry(NamedTuple):
+    """A tensor named in a header: all that validate_pair and _head read of a record."""
+
+    name: str
+    shape: tuple[int, ...]
+
+
+def _head(entries) -> bytes:
+    """The bytes before the payloads of a file of these tensors (each with a
+    name and a shape), payloads in their order."""
+    lines, offset = [], 0
+    for t in entries:
+        nbytes = 4 * math.prod(t.shape)
+        lines.append(f"{t.name}\t{','.join(map(str, t.shape))}\t{offset}\t{nbytes}\n")
+        offset += nbytes
+    header = "".join(lines).encode("utf-8")
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
+
+
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     """Serialize to the binary layout; identical inputs give identical bytes."""
-    header_lines = []
-    offset = 0
-    for t in ckpt.tensors:
-        dims = ",".join(str(d) for d in t.shape)
-        header_lines.append(f"{t.name}\t{dims}\t{offset}\t{t.nbytes}\n")
-        offset += t.nbytes
-    header = "".join(header_lines).encode("utf-8")
     try:
         with atomic_open(path, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
+            fh.write(_head(ckpt.tensors))
             for t in ckpt.tensors:
                 fh.write(t.data.astype("<f4", copy=False).data)
     except OSError as exc:
@@ -129,8 +145,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _on_threads(tasks, name: str) -> list:
-    """The results of tasks, in task order: tasks[0] runs on the calling
+def _on_threads(tasks, name: str, here: int = 0) -> list:
+    """The results of tasks, in task order: tasks[here] runs on the calling
     thread and each other task on a threading.Thread of this name, so one
     task starts no thread. Every thread is joined before the first failure
     in task order is raised, as the same exception object."""
@@ -142,10 +158,11 @@ def _on_threads(tasks, name: str) -> list:
         except BaseException as exc:
             failures[k] = exc
 
-    threads = [threading.Thread(target=run, args=(k,), name=name) for k in range(1, len(tasks))]
+    threads = [threading.Thread(target=run, args=(k,), name=name)
+               for k in range(len(tasks)) if k != here]
     for thread in threads:
         thread.start()
-    run(0)
+    run(here)
     for thread in threads:
         thread.join()
     for exc in filter(None, failures):
@@ -158,11 +175,11 @@ def _buffer(nbytes: int) -> memoryview:
     return memoryview(np.empty((nbytes + 3) // 4, dtype=np.float32)).cast("B")
 
 
-def _read_rest(fh, skip: int, buf: memoryview | None) -> memoryview:
-    """The rest of fh, read in place into buf (a new buffer if None) so that
-    the bytes after the first `skip` start 4-byte aligned; a pipe is read to
-    its end too."""
-    pad = -skip % 4
+def _read_rest(fh, head: bytes, buf: memoryview | None) -> memoryview:
+    """The rest of fh after its head, read in place into buf (a new buffer
+    if None) so that the payloads after the header start 4-byte aligned; a
+    pipe is read to its end too."""
+    pad = -(struct.unpack("<I", head[8:12])[0] if len(head) == 12 else 0) % 4
     if buf is None:
         buf = _buffer(pad + os.fstat(fh.fileno()).st_size)
     n = pad
@@ -175,54 +192,113 @@ def _read_rest(fh, skip: int, buf: memoryview | None) -> memoryview:
         n += got
 
 
+def _slicer(rest: memoryview):
+    """take(n) for _scan over bytes read whole: the next n of rest, in place."""
+    end = 0
+
+    def take(n):
+        nonlocal end
+        end += n
+        return rest[end - n:end]
+    return take
+
+
+def _reader(fh, buf: memoryview):
+    """take(n) for _scan over fh: its next n bytes (fewer at its end), read
+    into buf, reused by every take (or a larger one, from the first take that needs it)."""
+    def take(n):
+        nonlocal buf
+        if n > buf.nbytes:
+            buf = _buffer(n)
+        got = 0
+        while got < n and (k := fh.readinto(buf[got:n])):
+            got += k
+        return buf[:got]
+    return take
+
+
+def _scan(head: bytes, take, size: int, chunk: float):
+    """Check a checkpoint of size bytes, whose first 12 are head and whose
+    next n take(n) returns. Yield its header's entries once they check, then
+    (i, lo, record) for each piece of entries[i]'s payload from value lo on:
+    the whole payload in its shape where it is at most chunk bytes, else
+    flat records of as many whole rows as fit in chunk (at least one).
+    Making each record checks it, and the names are checked unique last."""
+    if len(head) < 12 or head[:4] != MAGIC:
+        raise CheckpointError("not a checkpoint")
+    version, header_len = struct.unpack("<II", head[4:12])
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported version {version}")
+    payload_len = size - 12 - header_len
+    if payload_len < 0:
+        raise CheckpointError("corrupt checkpoint (truncated header)")
+    try:
+        header = str(take(header_len), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError("corrupt checkpoint (bad header)") from exc
+
+    entries = []
+    end = 0  # payloads are contiguous in header order and fill the file exactly
+    for line in header.splitlines():
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise CheckpointError("corrupt checkpoint (bad header line)")
+        name, dims_s, off_s, len_s = parts
+        try:
+            shape = tuple(int(d) for d in dims_s.split(","))
+            off, length = int(off_s), int(len_s)
+        except ValueError as exc:
+            raise CheckpointError("corrupt checkpoint (bad header line)") from exc
+        if off != end or length < 0 or off + length > payload_len:
+            raise CheckpointError(f"corrupt checkpoint (tensor {name!r} payload at byte {off}, "
+                                  f"expected {end}, length {length} of {payload_len})")
+        end = off + length
+        if length != 4 * math.prod(shape) or any(d <= 0 for d in shape):
+            raise CheckpointError(f"corrupt checkpoint (tensor {name!r} length/shape mismatch)")
+        entries.append(_Entry(name, shape))
+    if end != payload_len:
+        raise CheckpointError(f"corrupt checkpoint ({payload_len - end} trailing payload bytes)")
+    yield entries
+
+    for i, (name, shape) in enumerate(entries):
+        length, row = 4 * math.prod(shape), 4 * math.prod(shape[1:])
+        step = length if length <= chunk else max(row, int(chunk) // row * row)
+        for lo in range(0, length, step):
+            piece = take(n := min(step, length - lo))
+            if len(piece) < n:
+                raise CheckpointError("corrupt checkpoint (truncated while read)")
+            values = np.frombuffer(piece, dtype="<f4")
+            yield i, lo // 4, TensorRecord(name, shape if n == length else values.shape, values)
+    Checkpoint(entries)  # raises on a repeated name
+
+
+def _scan_file(path, chunk: float = math.inf, buf: memoryview | None = None):
+    """_scan of the checkpoint at path, each fault named as read_checkpoint
+    names it. A regular file is read chunk by chunk into buf; anything else
+    (a pipe), or every file where chunk is inf, is read whole first, into buf
+    if given (see _read_rest)."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(12)
+            st = os.fstat(fh.fileno())
+            if chunk < math.inf and stat.S_ISREG(st.st_mode):
+                take, size = _reader(fh, buf), st.st_size
+            else:
+                rest = _read_rest(fh, head, buf)
+                take, size = _slicer(rest), 12 + len(rest)
+            with naming(path):
+                yield from _scan(head, take, size, chunk)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
 def read_checkpoint(path, into: memoryview | None = None) -> Checkpoint:
     """Parse and validate a checkpoint file; the payloads must tile it exactly.
     The file is read once into one buffer, and each tensor is a view of it:
     `into`, when given, is that buffer, from _buffer(3 + the file's size)."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(12)
-            header_len = struct.unpack("<I", head[8:12])[0] if len(head) == 12 else 0
-            rest = _read_rest(fh, header_len, into)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    with naming(path):
-        if len(head) < 12 or head[:4] != MAGIC:
-            raise CheckpointError("not a checkpoint")
-        (version,) = struct.unpack("<I", head[4:8])
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported version {version}")
-        if len(rest) < header_len:
-            raise CheckpointError("corrupt checkpoint (truncated header)")
-        try:
-            header = str(rest[:header_len], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError("corrupt checkpoint (bad header)") from exc
-        payload = rest[header_len:]
-
-        tensors = []
-        end = 0  # payloads are contiguous in header order and fill the file exactly
-        for line in header.splitlines():
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CheckpointError("corrupt checkpoint (bad header line)")
-            name, dims_s, off_s, len_s = parts
-            try:
-                shape = tuple(int(d) for d in dims_s.split(","))
-                off, length = int(off_s), int(len_s)
-            except ValueError as exc:
-                raise CheckpointError("corrupt checkpoint (bad header line)") from exc
-            if off != end or length < 0 or off + length > len(payload):
-                raise CheckpointError(f"corrupt checkpoint (tensor {name!r} payload at byte {off}, "
-                                      f"expected {end}, length {length} of {len(payload)})")
-            end = off + length
-            if length != 4 * math.prod(shape) or any(d <= 0 for d in shape):
-                raise CheckpointError(f"corrupt checkpoint (tensor {name!r} length/shape mismatch)")
-            data = np.frombuffer(payload, dtype="<f4", count=length // 4, offset=off)
-            tensors.append((name, shape, data))
-        if end != len(payload):
-            raise CheckpointError(f"corrupt checkpoint ({len(payload) - end} trailing payload bytes)")
-        return Checkpoint([TensorRecord(*t) for t in tensors])
+    pieces = _scan_file(path, buf=into)
+    next(pieces)
+    return Checkpoint([record for _, _, record in pieces])
 
 
 def _regular_size(path) -> int:
@@ -234,21 +310,26 @@ def _regular_size(path) -> int:
     return st.st_size if stat.S_ISREG(st.st_mode) else -1
 
 
+def _concurrently(paths) -> bool:
+    """Whether to read paths on two threads: with two CPUs or more, and every
+    path a regular file of at least CONCURRENT_READ_BYTES. Otherwise a FIFO
+    or a missing file fails as in a read one after the other."""
+    return (len(paths) > 1 and _cpu_count() > 1
+            and min(map(_regular_size, paths)) >= CONCURRENT_READ_BYTES)
+
+
 def read_checkpoints(*paths) -> list[Checkpoint]:
     """read_checkpoint of each path, in order.
 
-    With two CPUs or more and every path a regular file of at least
-    CONCURRENT_READ_BYTES, one _on_threads thread reads every file but the
-    first (readinto and numpy release the GIL) into buffers allocated here:
-    a thread's own malloc arena would raise the peak RSS. Otherwise the
-    files are read one after the other, so a FIFO or a missing file fails as
-    in read_checkpoint. Either way the first failure in argument order is
-    raised, after the thread has ended.
+    Where _concurrently(paths), one _on_threads thread reads every file but
+    the first (readinto and numpy release the GIL) into buffers allocated
+    here: a thread's own malloc arena would raise the peak RSS. Otherwise the
+    files are read one after the other. Either way the first failure in
+    argument order is raised, after the thread has ended.
     """
-    sizes = [_regular_size(p) for p in paths]
-    if len(paths) < 2 or _cpu_count() < 2 or min(sizes) < CONCURRENT_READ_BYTES:
+    if not _concurrently(paths):
         return [read_checkpoint(p) for p in paths]
-    buffers = [_buffer(3 + size) for size in sizes[1:]]
+    buffers = [_buffer(3 + _regular_size(p)) for p in paths[1:]]
     first, rest = _on_threads([lambda: read_checkpoint(paths[0]),
                                lambda: list(map(read_checkpoint, paths[1:], buffers))],
                               "read_checkpoints")

@@ -53,7 +53,7 @@ from .toytrain import (
     train,
     write_task_csv,
 )
-from .transfer import emit_mask, splice_in_place, write_mask_file
+from .transfer import _splice_files, emit_mask, write_mask_file
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -207,13 +207,22 @@ def _transfer_options(p) -> None:
 
 
 def _cmd_transfer(args) -> None:
-    # base is read for this call alone, so its own buffer takes the rows
-    base, tuned = read_checkpoints(args.base, args.tuned)
-    tickets = read_ticket_file(args.tickets)
-    rows = validate_pair(base, tuned, args.tensor)[0].shape[0]  # a missing tensor first
-    with naming(args.tickets):
-        tickets.check_vocab(rows, "tensor rows")
-    write_checkpoint(splice_in_place(base, tuned, args.tensor, tickets), args.out)
+    # the ticket file is read first, for the rows of --tuned to keep; its
+    # fault is raised after any of either checkpoint, as if read after them
+    try:
+        tickets, held = read_ticket_file(args.tickets), None
+    except (ValueError, OverflowError, OSError) as exc:
+        tickets, held = None, exc
+
+    def check(base, tuned):
+        if held is not None:
+            raise held
+        rows = validate_pair(base, tuned, args.tensor)[0].shape[0]  # a missing tensor first
+        with naming(args.tickets):
+            tickets.check_vocab(rows, "tensor rows")
+
+    ids = tickets.token_ids if tickets is not None else ()
+    _splice_files(args.base, args.tuned, args.tensor, ids, args.out, check)
 
 
 def _certify_options(p) -> None:

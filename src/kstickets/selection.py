@@ -241,8 +241,9 @@ class _Workspace:
         self.ties = np.empty((rows, 2 * d), dtype=bool)
         # the cheap metrics' masks live in the kernel's ties: the two never run at once
         self.masks = self.ties.reshape(2, rows, d)
-        # the tuned values among each row's first j sorted slots, j = 0..2d
-        self.tuned_below = np.empty((rows, 2 * d + 1), dtype=np.int32)
+        # the tuned values among row r's first s sorted slots, s = 0..2d, at
+        # r * 2d + s: row r's slot 2d is row r + 1's slot 0 (see _ks_kl_rows)
+        self.tuned_below = np.empty(rows * 2 * d + 1, dtype=np.int32)
         self.slots = np.arange(1, 2 * d + 1, dtype=np.int32)
         # keys span [-2**32, 2**32): rows 2**34 apart never overlap
         self.row_offset = np.arange(rows, dtype=np.int64) << 34
@@ -287,7 +288,7 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     (rows, d) arrays, bit for bit, from one integer sort of each pooled row:
     D is the row's greatest integer numerator k, divided once by d."""
     rows, d = b.shape
-    keys, ties, tuned_below = ws.keys[:rows], ws.ties[:rows], ws.tuned_below[:rows]
+    keys, ties, tuned_below = ws.keys[:rows], ws.ties[:rows], ws.tuned_below[: rows * 2 * d + 1]
     # Each value as an int that orders as the floats do, shifted left once
     # with the tuned half marked in bit 0. Adding +0.0 first turns -0.0 into
     # +0.0, which float comparison holds equal to it.
@@ -296,7 +297,7 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     np.add(t, np.float32(0), out=halves[1])
     bits = halves.view(np.int32)
     # tuned_below is free until the cumsum, so it holds the flip's scratch
-    _flip(bits, tuned_below.ravel()[: bits.size].reshape(bits.shape))
+    _flip(bits, tuned_below[: bits.size].reshape(bits.shape))
     np.left_shift(bits[0], 1, out=keys[:, :d], dtype=np.int64)
     np.left_shift(bits[1], 1, out=keys[:, d:], dtype=np.int64)
     keys[:, d:] |= 1
@@ -308,14 +309,18 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
     ties[:, -1] = False
     ends = ints[:, [0, -1]]  # each row's least and greatest value
     np.bitwise_and(keys, 1, out=ints)
-    tuned_below[:, 0] = 0
-    np.cumsum(ints, axis=1, dtype=np.int32, out=tuned_below[:, 1:])
+    # one 1-D cumsum of the rows end to end, as numpy holds the GIL for a
+    # per-row one: each row holds d tuned values, so a -d in each later row's
+    # first slot starts it again from 0 (but its slot 0 holds d; see KL)
+    ints[1:, 0] -= d
+    tuned_below[0] = 0
+    np.cumsum(ints.ravel(), dtype=np.int32, out=tuned_below[1:])
 
     # KS: at slot s, c_b tuned and c_a = s + 1 - c_b base values lie at or
     # below it, and k = |c_a - c_b| = |2 c_b - (s + 1)|. ks_statistic's D is
     # k/d for the row's greatest k at the end of a tie run. Slots inside a
     # run get -1, which never is the maximum: the last slot ends a run.
-    np.multiply(tuned_below[:, 1:], 2, out=ints)
+    np.multiply(tuned_below[1:].reshape(rows, 2 * d), 2, out=ints)
     ints -= ws.slots
     np.abs(ints, out=ints)
     np.copyto(ints, -1, where=ties)
@@ -347,10 +352,12 @@ def _ks_kl_rows(b: np.ndarray, t: np.ndarray, ws: _Workspace) -> tuple[np.ndarra
         # the slots below each edge, counted from the part's first slot; then
         # the tuned values among them (into edges32's memory, free again)
         below = np.searchsorted(keys[part].ravel(), edge_keys.ravel()).reshape(n, -1)
-        below += ws.tail_rows[:n, None]
         tuned = edge_bits
-        np.take(tuned_below[part].ravel(), below, out=tuned, mode="clip")
-        below -= ws.tail_rows[:n, None] * (2 * d + 1)
+        np.take(tuned_below[r0 * 2 * d:], below, out=tuned, mode="clip")
+        below -= ws.tail_rows[:n, None] * (2 * d)
+        # an edge with no slot below it (a row of one value) read d at slot 0:
+        # at most s of s slots are tuned, so the minimum makes that 0
+        np.minimum(tuned, below, out=tuned)
         below -= tuned
         pt, pb = ws.pt[:n], ws.pb[:n]
         _bin_counts(tuned, d, pt)

@@ -7,10 +7,24 @@ import math
 
 import numpy as np
 
-from kstickets.checkpoint import Checkpoint
+from kstickets._text import naming
+from kstickets.checkpoint import Checkpoint, read_checkpoint, validate_pair, write_checkpoint
 from kstickets.ksstat import Sample, ks_pvalue_asymptotic
-from kstickets.selection import _KL_BINS, _KL_MASS_FLOOR
+from kstickets.selection import _KL_BINS, _KL_MASS_FLOOR, read_ticket_file
 from kstickets.toytrain import ToyModel, _distinct_probs
+from kstickets.transfer import splice_in_place
+
+
+def transfer_whole(base, tuned, tensor, tickets, out) -> None:
+    """`kstickets transfer` with both checkpoints read whole: the faults of
+    base, tuned, the ticket file, the pair and the vocab, in that order, then
+    the spliced checkpoint written by write_checkpoint."""
+    b, t = read_checkpoint(base), read_checkpoint(tuned)
+    ticket_set = read_ticket_file(tickets)
+    rows = validate_pair(b, t, tensor)[0].shape[0]
+    with naming(tickets):
+        ticket_set.check_vocab(rows, "tensor rows")
+    write_checkpoint(splice_in_place(b, t, tensor, ticket_set), out)
 
 
 def diff_rows(a: Checkpoint, b: Checkpoint, tensor_name: str) -> set[int]:

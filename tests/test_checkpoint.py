@@ -500,6 +500,12 @@ class TestOnThreads:
         assert checkpoint._on_threads([threading.get_ident], "t") == [threading.get_ident()]
         assert started_threads == []
 
+    def test_here_names_the_task_of_the_calling_thread(self, started_threads):
+        tasks = [threading.get_ident] * 3
+        assert checkpoint._on_threads(tasks, "t", here=1)[1] == threading.get_ident()
+        assert checkpoint._on_threads(tasks, "t", here=1).count(threading.get_ident()) == 1
+        assert started_threads == ["t"] * 4
+
     def test_threads_carry_the_name(self, started_threads):
         def name():
             return threading.current_thread().name

@@ -1099,7 +1099,8 @@ def test_concurrent_reads_write_the_same_bytes(workdir, monkeypatch, started_thr
             out = workdir / f"{concurrent}-{name}"
             assert run(_pair_argv(command, base, tuned, tickets, out)) == 0
             outputs[concurrent, command] = out.read_bytes()
-    assert started_threads.count("read_checkpoints") == 2
+    # analyze's reader and transfer's scan of --tuned, each on its own thread
+    assert started_threads == ["read_checkpoints", "transfer"]
     for command in ("analyze", "transfer"):
         assert outputs[True, command] == outputs[False, command]
 
@@ -1117,6 +1118,7 @@ def test_concurrent_reads_name_the_first_malformed_checkpoint(workdir, capsys, c
     assert run(["select", "--scores", str(workdir / "scores.csv"), "--method", "ks", "--top-k", "3",
                 "--out", str(workdir / "tickets.txt")]) == 0
     out = workdir / "out"
+    started_threads.clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(_pair_argv(command, paths["base"], paths["tuned"], workdir / "tickets.txt", out))
@@ -1125,7 +1127,7 @@ def test_concurrent_reads_name_the_first_malformed_checkpoint(workdir, capsys, c
     assert capsys.readouterr().err == f"error: {paths[bad[0]]}: not a checkpoint\n"
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not out.exists()
-    assert "read_checkpoints" in started_threads
+    assert started_threads == [{"analyze": "read_checkpoints", "transfer": "transfer"}[command]]
 
 
 def test_a_fifo_is_never_read_on_the_second_thread(tmp_path):
@@ -1178,8 +1180,9 @@ def test_one_cpu_starts_no_thread(workdir, monkeypatch, started_threads):
             monkeypatch.setattr(module, "_cpu_count", lambda: cpus)
         for command in ("analyze", "transfer"):
             assert run(_pair_argv(command, base, tuned, tickets, workdir / f"{cpus}-{command}")) == 0
-        if cpus == 2:  # the reader in each command, and analyze_pair's pool
-            assert started_threads.count("read_checkpoints") == 2
+        if cpus == 2:  # analyze's reader and pool, and transfer's scan of --tuned
+            assert started_threads.count("read_checkpoints") == 1
+            assert started_threads.count("transfer") == 1
             assert len(started_threads) > 2
         else:
             assert started_threads == []

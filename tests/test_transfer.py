@@ -1,11 +1,25 @@
+import itertools
+import os
+import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstickets.checkpoint import Checkpoint, TensorRecord, get_embedding, write_checkpoint
+from kstickets import checkpoint, transfer
+from kstickets.checkpoint import (
+    Checkpoint,
+    TensorRecord,
+    get_embedding,
+    read_checkpoint,
+    write_checkpoint,
+)
 from kstickets.cli import run
 from kstickets.selection import WinningTicketSet, write_ticket_file
 from kstickets.transfer import (
@@ -14,7 +28,7 @@ from kstickets.transfer import (
     splice_partial_transfer,
     write_mask_file,
 )
-from oracles import diff_rows
+from oracles import diff_rows, transfer_whole
 
 
 def pair_differing_everywhere(v=4, d=3, seed=0):
@@ -123,25 +137,232 @@ class TestSpliceInPlace:
             splice_in_place(base, tuned, "embed", tickets_of([0], v=9))
         assert base.tensor("embed").data.tobytes() == before
 
-    def test_cli_transfer_peaks_below_three_tensors(self, tmp_path):
-        # the base tensor read for the call takes the rows: the peak holds base,
-        # tuned and the gathered third of the rows, but no copy of base
-        v, d = 4096, 64
+
+def transfer_argv(base, tuned, tickets, out, tensor="emb"):
+    return ["transfer", "--base", str(base), "--tuned", str(tuned), "--tensor", tensor,
+            "--tickets", str(tickets), "--out", str(out)]
+
+
+def write_raw(path, tensors, style="canonical"):
+    """A checkpoint of (name, shape, float32 values) tensors, whose header is
+    written in style: canonical (as write_checkpoint writes it), padded-dims
+    (each dim with a leading 0), crlf (CRLF line ends) or no-final-newline."""
+    lines, payload, offset = [], [], 0
+    for name, shape, values in tensors:
+        dims = ",".join(("0" if style == "padded-dims" else "") + str(d) for d in shape)
+        lines.append(f"{name}\t{dims}\t{offset}\t{values.nbytes}")
+        payload.append(values.astype("<f4").tobytes())
+        offset += values.nbytes
+    end = "\r\n" if style == "crlf" else "\n"
+    header = (end.join(lines) + ("" if style == "no-final-newline" else end)).encode()
+    path.write_bytes(b"KSLT" + struct.pack("<II", 1, len(header)) + header + b"".join(payload))
+
+
+def three_tensors(rng, v, d, position, shift=0.0):
+    """The matrix emb of v rows of d among a rank-1 tensor and another
+    matrix, at position 0, 1 or 2."""
+    others = [("bias", (7,)), ("head", (5, 4))]
+    tensors = others[:position] + [("emb", (v, d))] + others[position:]
+    return [(name, shape, rng.normal(size=shape).astype(np.float32) + np.float32(shift))
+            for name, shape in tensors]
+
+
+def bad(tensor):
+    """tensor with its last value NaN."""
+    name, shape, values = tensor
+    values = values.copy()
+    values.flat[-1] = np.nan
+    return name, shape, values
+
+
+def flat(tensor):
+    name, shape, values = tensor
+    return name, (values.size,), values
+
+
+def grown(tensor):
+    """emb with one more row; any other tensor as it is."""
+    name, shape, values = tensor
+    if name != "emb":
+        return tensor
+    return name, (shape[0] + 1, *shape[1:]), np.append(values, np.zeros((1, *shape[1:]), np.float32), 0)
+
+
+class TestStreamingTransfer:
+    """transfer scans base into its output and keeps only tuned's ticket rows:
+    its bytes, its faults and their order are those of reading both whole."""
+
+    V = 11
+
+    @pytest.fixture()
+    def threads(self, monkeypatch, started_threads):
+        """cpus(n): transfer runs as on n CPUs, whatever the files' sizes."""
+        monkeypatch.setattr(checkpoint, "CONCURRENT_READ_BYTES", 0)
+
+        def cpus(n):
+            monkeypatch.setattr(checkpoint, "_cpu_count", lambda: n)
+            return started_threads
+        return cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("style", ["canonical", "padded-dims", "crlf", "no-final-newline"])
+    @pytest.mark.parametrize("ids", [(), (0, 3, 4, 10), tuple(range(V))], ids=["none", "some", "all"])
+    @pytest.mark.parametrize("d, chunk", [(3, 64), (16, 64), (25, 64), (16, 1 << 20)],
+                             ids=["rows-cut-chunk", "rows-fill-chunk", "row-over-chunk", "one-piece"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_bytes_match_the_whole_read(self, tmp_path, monkeypatch, threads, position, d, chunk,
+                                        ids, style, cpus):
+        rng = np.random.default_rng(position * 7 + d)
+        base, tuned, tickets = tmp_path / "base.ckpt", tmp_path / "tuned.ckpt", tmp_path / "t.txt"
+        write_raw(base, three_tensors(rng, self.V, d, position), style)
+        write_raw(tuned, three_tensors(rng, self.V, d, position, shift=3.0))
+        ticket_set = tickets_of(ids, v=self.V)
+        write_ticket_file(ticket_set, tickets)
+        write_checkpoint(splice_in_place(read_checkpoint(base), read_checkpoint(tuned), "emb",
+                                         ticket_set), tmp_path / "want.ckpt")
+        monkeypatch.setattr(transfer, "_CHUNK_BYTES", chunk)
+        started = threads(cpus)
+        assert run(transfer_argv(base, tuned, tickets, tmp_path / "out.ckpt")) == 0
+        assert (tmp_path / "out.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+        assert started == (["transfer"] if cpus == 2 else [])
+
+    FAULTS = {  # name: (the file it breaks, how)
+        "base-absent": ("base", lambda p, t: p.unlink()),
+        "base-not-a-checkpoint": ("base", lambda p, t: p.write_bytes(b"not a checkpoint")),
+        "base-cut": ("base", lambda p, t: p.write_bytes(p.read_bytes()[:-4])),
+        "base-nan-in-last": ("base", lambda p, t: write_raw(p, t[:-1] + [bad(t[-1])])),
+        "base-duplicate": ("base", lambda p, t: write_raw(p, t + [t[0]])),
+        "base-no-emb": ("base", lambda p, t: write_raw(p, [x for x in t if x[0] != "emb"])),
+        "base-emb-rank-1": ("base", lambda p, t: write_raw(p, [flat(x) for x in t])),
+        "tuned-absent": ("tuned", lambda p, t: p.unlink()),
+        "tuned-bad-header": ("tuned", lambda p, t: p.write_bytes(p.read_bytes()[:12] + b"x\ty")),
+        "tuned-nan-in-emb": ("tuned", lambda p, t: write_raw(p, [bad(x) for x in t])),
+        "tuned-duplicate": ("tuned", lambda p, t: write_raw(p, t + [t[1]])),
+        "tuned-no-emb": ("tuned", lambda p, t: write_raw(p, [x for x in t if x[0] != "emb"])),
+        "tuned-emb-other-rows": ("tuned", lambda p, t: write_raw(p, [grown(x) for x in t])),
+        "tickets-absent": ("tickets", lambda p, t: p.unlink()),
+        "tickets-malformed": ("tickets", lambda p, t: p.write_text("method=ks\n")),
+        "tickets-other-vocab": ("tickets", lambda p, t: write_ticket_file(tickets_of([1], v=9), p)),
+        "out-dir-absent": ("out", lambda case: case / "absent" / "out.ckpt"),
+        "out-full": ("out", lambda case: Path("/dev/full")),  # every write fails
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_pair_of_faults_reads_as_the_whole_read_reports_it(self, tmp_path, capsys,
+                                                                        threads, cpus):
+        rng = np.random.default_rng(1)
+        threads(cpus)
+        pairs = [(a, b) for a, b in itertools.combinations(self.FAULTS, 2)
+                 if self.FAULTS[a][0] != self.FAULTS[b][0]]
+        for k, faults in enumerate([(name,) for name in self.FAULTS] + pairs):
+            case = tmp_path / str(k)
+            case.mkdir()
+            paths = {"base": case / "base.ckpt", "tuned": case / "tuned.ckpt",
+                     "tickets": case / "t.txt", "out": case / "out.ckpt"}
+            tensors = three_tensors(rng, self.V, 4, k % 3)
+            write_raw(paths["base"], tensors)
+            write_raw(paths["tuned"], tensors)
+            write_ticket_file(tickets_of([2, 5], v=self.V), paths["tickets"])
+            for name in faults:
+                target, breaks = self.FAULTS[name]
+                if target == "out":
+                    paths["out"] = breaks(case)
+                else:
+                    breaks(paths[target], tensors)
+            argv = [paths[n] for n in ("base", "tuned", "tickets", "out")]
+            with pytest.raises((ValueError, OSError)) as whole:
+                transfer_whole(argv[0], argv[1], "emb", argv[2], argv[3])
+            capsys.readouterr()
+            assert run(transfer_argv(*argv)) == 2, faults
+            assert capsys.readouterr().err == f"error: {whole.value}\n", faults
+            # no output, and no temp file, is left
+            assert sorted(os.listdir(case)) == sorted(p.name for p in paths.values()
+                                                       if p.parent == case and p.exists()), faults
+
+    def test_a_file_cut_while_it_is_read_is_named(self, tmp_path, monkeypatch, capsys):
+        # 64 kB each: tuned is cut to the bytes read when its header is read
+        rng = np.random.default_rng(2)
+        base, tuned, tickets = tmp_path / "base.ckpt", tmp_path / "tuned.ckpt", tmp_path / "t.txt"
+        write_raw(base, three_tensors(rng, 1000, 16, 0))
+        write_raw(tuned, three_tensors(rng, 1000, 16, 0))
+        write_ticket_file(tickets_of([1], v=1000), tickets)
+        monkeypatch.setattr(transfer, "_CHUNK_BYTES", 4096)
+        reader = checkpoint._reader
+
+        def cut_after_the_header(fh, buf):
+            take = reader(fh, buf)
+
+            def cut(n):
+                got = take(n)
+                if fh.name == str(tuned):
+                    os.truncate(fh.name, fh.tell())
+                return got
+            return cut
+
+        monkeypatch.setattr(checkpoint, "_reader", cut_after_the_header)
+        assert run(transfer_argv(base, tuned, tickets, tmp_path / "out.ckpt")) == 2
+        assert capsys.readouterr().err == f"error: {tuned}: corrupt checkpoint (truncated while read)\n"
+        assert sorted(os.listdir(tmp_path)) == ["base.ckpt", "t.txt", "tuned.ckpt"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pipes_in_and_out_give_the_same_bytes(self, tmp_path, threads, cpus):
+        rng = np.random.default_rng(3)
+        base, tuned, tickets = tmp_path / "base.ckpt", tmp_path / "tuned.ckpt", tmp_path / "t.txt"
+        write_raw(base, three_tensors(rng, self.V, 4, 1))
+        write_raw(tuned, three_tensors(rng, self.V, 4, 1, shift=1.0))
+        write_ticket_file(tickets_of([0, 6, 7], v=self.V), tickets)
+        assert run(transfer_argv(base, tuned, tickets, tmp_path / "want.ckpt")) == 0
+        threads(cpus)
+        pipes = {name: tmp_path / f"{name}.pipe" for name in ("base", "tuned", "out")}
+        for pipe in pipes.values():
+            os.mkfifo(pipe)
+        got = []
+        ends = [threading.Thread(target=pipes["base"].write_bytes, args=(base.read_bytes(),)),
+                threading.Thread(target=pipes["tuned"].write_bytes, args=(tuned.read_bytes(),)),
+                threading.Thread(target=lambda: got.append(pipes["out"].read_bytes()))]
+        for end in ends:
+            end.start()
+        try:
+            assert run(transfer_argv(pipes["base"], pipes["tuned"], tickets, pipes["out"])) == 0
+        finally:
+            for end in ends:
+                end.join()
+        assert got == [(tmp_path / "want.ckpt").read_bytes()]
+
+    def test_a_pipe_out_is_opened_after_every_input_checks(self, tmp_path):
+        # no reader ever opens the pipe: opening it first would wait forever
+        bad, tuned, tickets, pipe = (tmp_path / n for n in ("b.ckpt", "t.ckpt", "t.txt", "out"))
+        bad.write_bytes(b"not a checkpoint")
+        write_raw(tuned, three_tensors(np.random.default_rng(4), self.V, 4, 0))
+        write_ticket_file(tickets_of([1], v=self.V), tickets)
+        os.mkfifo(pipe)
+        src = str(Path(transfer.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "kstickets.cli",
+                               *transfer_argv(bad, tuned, tickets, pipe)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {bad}: not a checkpoint\n")
+
+    def test_peak_holds_two_chunks_and_the_ticket_rows(self, tmp_path):
+        # a pair of 16 MiB tensors: neither is held whole, only a chunk of
+        # each at a time and the rows gathered from tuned
+        v, d, k = 65536, 64, 1024
         rng = np.random.default_rng(0)
         for name in ("base", "tuned"):
             m = rng.standard_normal((v, d), dtype=np.float32)
-            write_checkpoint(Checkpoint([TensorRecord("embed", (v, d), m.ravel())]),
+            write_checkpoint(Checkpoint([TensorRecord("emb", (v, d), m.ravel())]),
                              tmp_path / f"{name}.ckpt")
-        write_ticket_file(tickets_of(range(0, v, 3), v=v), tmp_path / "tickets.txt")
-        argv = ["transfer", "--base", tmp_path / "base.ckpt", "--tuned", tmp_path / "tuned.ckpt",
-                "--tensor", "embed", "--tickets", tmp_path / "tickets.txt", "--out", tmp_path / "out.ckpt"]
+        write_ticket_file(tickets_of(range(0, v, v // k), v=v), tmp_path / "t.txt")
+        argv = transfer_argv(tmp_path / "base.ckpt", tmp_path / "tuned.ckpt", tmp_path / "t.txt",
+                             tmp_path / "out.ckpt")
         tracemalloc.start()
         try:
-            assert run([str(a) for a in argv]) == 0
+            assert run(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * v * d * 4
+        # and 512 kB for the rest: the ticket ids, the parser, the headers
+        assert peak <= 2 * transfer._CHUNK_BYTES + 4 * k * d + (512 << 10)
 
 
 class TestEmitMask:
